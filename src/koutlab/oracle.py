@@ -5,7 +5,10 @@ is a cut (no edge to its complement), optionally after deleting d
 uniformly random nodes, together with the union-bound sums over all
 subset sizes in [M, n/2].  Everything is evaluated in log domain by
 default so n up to 10^6 neither overflows nor underflows; a direct
-float64 mode exists for cross-checking at small n.
+float64 mode exists for cross-checking at small n.  Log mode inherits
+about 1e-4 relative error at n=10^6 (about 4e-9 at n=5000) from
+cancellation between math.lgamma log-factorials; each per-r term comes
+from one vectorized kernel, _cut_kernel.
 
 exhaustive_event_probability enumerates every joint selection outcome
 (and every deletion set) on graphs of at most 7 nodes, aggregating
@@ -20,19 +23,13 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import combinations
-from math import comb, exp, lgamma, log
+from math import comb, exp, lgamma
 
 import numpy as np
 
 from .errors import ParameterError
 
 _MAX_ENUM_NODES = 7
-
-
-def _log_binom(a: int, b: int) -> float:
-    if b < 0 or a < b:
-        return float("-inf")
-    return lgamma(a + 1) - lgamma(b + 1) - lgamma(a - b + 1)
 
 
 def _check_common(n, mu, k):
@@ -42,16 +39,92 @@ def _check_common(n, mu, k):
         raise ParameterError("need 2 <= K < n")
 
 
-def _mix_factor(n, mu, k, m) -> float:
-    """P[a node's whole selection set lands inside a given m-node pool].
+def _check_mode(mode):
+    if mode not in ("log", "direct"):
+        raise ParameterError("mode must be 'log' or 'direct'")
 
-    Type-marginalized: mu * m/(n-1) + (1-mu) * C(m,k)/C(n-1,k), with
-    C(a,b) = 0 whenever a < b.
+
+# r values per kernel block: bounds the lgamma spans' memory at large n
+_BLOCK = 4096
+
+
+def _lgamma_rows(starts, size):
+    """Row i holds math.lgamma(starts[i] + j) for j in range(size).
+
+    Arguments below 1 give nan.  Rows that overlap or touch are read from
+    one contiguous span, so each integer is evaluated once.
     """
-    single = mu * m / (n - 1)
-    if m < k:
-        return single
-    return single + (1.0 - mu) * exp(_log_binom(m, k) - _log_binom(n - 1, k))
+    rows = np.full((len(starts), size), np.nan)
+    order = sorted(range(len(starts)), key=starts.__getitem__)
+    groups = [[order[0]]]
+    for i in order[1:]:
+        if starts[i] <= starts[groups[-1][-1]] + size:
+            groups[-1].append(i)
+        else:
+            groups.append([i])
+    for group in groups:
+        lo, hi = max(starts[group[0]], 1), starts[group[-1]] + size
+        if hi <= lo:
+            continue
+        span = np.fromiter(map(lgamma, range(lo, hi)), float, hi - lo)
+        for i in group:
+            skip = max(lo - starts[i], 0)
+            if skip < size:
+                rows[i, skip:] = span[starts[i] + skip - lo:starts[i] + size - lo]
+    return rows
+
+
+def _cut_kernel(n, mu, k, d, r):
+    """The per-r pieces of P[a fixed r-subset of the n-d survivors is a cut].
+
+    r is a block of consecutive int64 subset sizes.  Each of the n-d-r
+    surviving outside nodes must select entirely outside the subset (pool
+    m_out = n-r-1) and each of the r inside nodes entirely inside it or
+    the deleted set (pool m_in = r+d-1), so the probability is
+    f_in**r * f_out**(n-d-r), where f(m) is the type-marginalized chance
+    that a node's whole selection set lands in a given m-node pool:
+    mu * m/(n-1) + (1-mu) * C(m,K)/C(n-1,K), with C(m,K) = 0 for m < K.
+
+    Returns (f_in, f_out, log_power, log_term): log_power is
+    r*log f_in + (n-d-r)*log f_out (-inf where a factor is 0) and
+    log_term is log C(n-d, r) + r*log f_in + (n-d-r)*log f_out, summed
+    left to right; the order fixes the last bits of the union-bound
+    terms.  Every log-factorial is math.lgamma of an integer, read from
+    spans that evaluate each integer once.
+    """
+    size = r.size
+    a = int(r[0])
+    b = a + size
+    lg = _lgamma_rows([a + 1, a + d, a + d - k,
+                       n - b + 1, n - b + 1 - k, n - d - b + 2], size)
+    lg_r, lg_in, lg_in_k = lg[:3]                # r+1, m_in+1, m_in-k+1
+    lg_out, lg_out_k, lg_rest = lg[3:, ::-1]     # m_out+1, m_out-k+1, n-d-r+1
+    lg_k = lgamma(k + 1)
+    lb_pool = lgamma(n) - lg_k - lgamma(n - k)  # log C(n-1, K)
+
+    def mix(m, lg_m, lg_m_k):
+        single = mu * m / (n - 1)
+        # math.exp, not np.exp: numpy's SIMD exp can differ by an ulp, and
+        # f_out**(n-d-r) multiplies that relative error by up to n
+        ratio = np.fromiter(map(exp, (lg_m - lg_k - lg_m_k - lb_pool).tolist()),
+                            float, size)
+        return np.where(m >= k, single + (1.0 - mu) * ratio, single)
+
+    f_in = mix(r + d - 1, lg_in, lg_in_k)
+    f_out = mix(n - r - 1, lg_out, lg_out_k)
+    with np.errstate(divide="ignore"):
+        log_in, log_out = r * np.log(f_in), (n - d - r) * np.log(f_out)
+    log_binom = lgamma(n - d + 1) - lg_r - lg_rest
+    return f_in, f_out, log_in + log_out, log_binom + log_in + log_out
+
+
+def _cut_probability(n, mu, k, d, r, mode):
+    _check_mode(mode)
+    f_in, f_out, log_power, _ = _cut_kernel(n, mu, k, d,
+                                            np.array([r], dtype=np.int64))
+    if mode == "direct":
+        return float(f_in[0] ** r * f_out[0] ** (n - d - r))
+    return exp(log_power[0])
 
 
 def exact_cut_probability(n, mu, k, r, mode="log") -> float:
@@ -65,8 +138,7 @@ def exact_cut_probability(n, mu, k, r, mode="log") -> float:
     _check_common(n, mu, k)
     if not 1 <= r <= n - 1:
         raise ParameterError("need 1 <= r <= n-1")
-    return _cut_probability_powers(n, mu, k, r_in=r, m_in=r - 1,
-                                   r_out=n - r, m_out=n - r - 1, mode=mode)
+    return _cut_probability(n, mu, k, 0, r, mode)
 
 
 def exact_cut_probability_deleted(n, mu, k, d, r, mode="log") -> float:
@@ -83,20 +155,7 @@ def exact_cut_probability_deleted(n, mu, k, d, r, mode="log") -> float:
         raise ParameterError("deletion count must be nonnegative")
     if not 1 <= r <= n - d - 1:
         raise ParameterError("need 1 <= r <= n-d-1")
-    return _cut_probability_powers(n, mu, k, r_in=r, m_in=r + d - 1,
-                                   r_out=n - d - r, m_out=n - r - 1, mode=mode)
-
-
-def _cut_probability_powers(n, mu, k, r_in, m_in, r_out, m_out, mode):
-    f_in = _mix_factor(n, mu, k, m_in)
-    f_out = _mix_factor(n, mu, k, m_out)
-    if f_in == 0.0 or f_out == 0.0:
-        return 0.0
-    if mode == "direct":
-        return f_in ** r_in * f_out ** r_out
-    if mode != "log":
-        raise ParameterError("mode must be 'log' or 'direct'")
-    return exp(r_in * log(f_in) + r_out * log(f_out))
+    return _cut_probability(n, mu, k, d, r, mode)
 
 
 # ---------------------------------------------------------------------------
@@ -107,8 +166,9 @@ def _cut_probability_powers(n, mu, k, r_in, m_in, r_out, m_out, mode):
 class BoundEvaluation:
     """A union-bound sum: clamped value plus its per-r contributions.
 
-    value is clamped to [0, 1]; raw_sum keeps the unclamped total and
-    terms[i] is the contribution of subset size r_start + i.
+    value is clamped to [0, 1]; raw_sum keeps the unclamped total (inf
+    once it exceeds float64) and terms[i] is the contribution of subset
+    size r_start + i.
     """
 
     value: float
@@ -144,21 +204,28 @@ def union_bound_sum_deleted(n, mu, k, d, x, mode="log") -> BoundEvaluation:
     return _bound_sum(n, mu, k, d=d, lo=x, mode=mode)
 
 
+def _binomials(a, r):
+    """C(a, r) as float64 for each r; direct mode's exact counts."""
+    try:
+        return np.array([float(comb(a, b)) for b in r.tolist()])
+    except OverflowError:
+        raise ParameterError(
+            f"C({a}, r) exceeds float64 in direct mode; use log mode") from None
+
+
 def _bound_sum(n, mu, k, d, lo, mode):
-    if mode not in ("log", "direct"):
-        raise ParameterError("mode must be 'log' or 'direct'")
+    _check_mode(mode)
     hi = (n - d) // 2
-    terms = np.zeros(hi - lo + 1)
-    for i, r in enumerate(range(lo, hi + 1)):
-        f_in = _mix_factor(n, mu, k, r + d - 1)
-        f_out = _mix_factor(n, mu, k, n - r - 1)
-        if f_in == 0.0 or f_out == 0.0:
-            continue
+    terms = np.empty(hi - lo + 1)
+    for a in range(lo, hi + 1, _BLOCK):
+        r = np.arange(a, min(a + _BLOCK, hi + 1), dtype=np.int64)
+        f_in, f_out, _, log_term = _cut_kernel(n, mu, k, d, r)
+        block = terms[a - lo:a - lo + r.size]
         if mode == "direct":
-            terms[i] = float(comb(n - d, r)) * f_in ** r * f_out ** (n - d - r)
+            block[:] = _binomials(n - d, r) * f_in ** r * f_out ** (n - d - r)
         else:
-            terms[i] = exp(_log_binom(n - d, r)
-                           + r * log(f_in) + (n - d - r) * log(f_out))
+            with np.errstate(over="ignore"):
+                block[:] = np.exp(log_term)
     raw = float(terms.sum())
     return BoundEvaluation(value=min(max(raw, 0.0), 1.0), raw_sum=raw,
                            terms=terms, r_start=lo, arithmetic_mode=mode)

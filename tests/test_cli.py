@@ -259,6 +259,14 @@ def test_oracle_requires_exactly_one_query(capsys):
     assert code == 2
 
 
+def test_oracle_direct_mode_overflow_exits_two(capsys):
+    code, out, err = run_cli(capsys, "oracle", "--n", "3000", "--m", "1",
+                             "--mode", "direct")
+    assert code == 2 and out == ""
+    assert "exceeds float64" in err and "log mode" in err
+    assert "Traceback" not in err
+
+
 def test_oracle_json_includes_terms(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "20", "--mu", "0.5",
                            "--k", "2", "--m", "3", "--format", "json")

@@ -218,6 +218,15 @@ def test_plausibility_floor_behaviour():
     assert plausibility_floor(40, 0.5, 2, 10_000) is not None
 
 
+def test_plausibility_floor_pinned_values():
+    # recorded from the scalar union-bound loop before the vectorized kernel
+    assert plausibility_floor(5000, 0.9, 2, 50) == 22
+    assert plausibility_floor(1000, 0.9, 2, 10**4) == 49
+    assert plausibility_floor(40, 0.5, 2, 10**4) == 11
+    assert plausibility_floor(30, 0.5, 2, 2000) == 10
+    assert plausibility_floor(30, 0.5, 2, 10**6) is None
+
+
 def test_coupling_experiment_reports_no_violations():
     target = GraphParams(n=150, type_probs=(0.5, 0.3, 0.2),
                          type_selections=(1, 2, 4))

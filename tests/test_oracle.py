@@ -13,6 +13,103 @@ from koutlab.oracle import (EnumeratedRealization, exact_cut_probability,
                             union_bound_sum_deleted)
 
 
+# Scalar reference for the vectorized kernel: math.lgamma log-binomials
+# and one Python pass per subset size.
+
+def _ref_log_binom(a, b):
+    return math.lgamma(a + 1) - math.lgamma(b + 1) - math.lgamma(a - b + 1)
+
+
+def _ref_mix_factor(n, mu, k, m):
+    single = mu * m / (n - 1)
+    if m < k:
+        return single
+    return single + (1.0 - mu) * math.exp(
+        _ref_log_binom(m, k) - _ref_log_binom(n - 1, k))
+
+
+def _ref_cut_probability(n, mu, k, d, r):
+    f_in = _ref_mix_factor(n, mu, k, r + d - 1)
+    f_out = _ref_mix_factor(n, mu, k, n - r - 1)
+    if f_in == 0.0 or f_out == 0.0:
+        return 0.0
+    return math.exp(r * math.log(f_in) + (n - d - r) * math.log(f_out))
+
+
+def _ref_bound_terms(n, mu, k, d, lo):
+    terms = []
+    for r in range(lo, (n - d) // 2 + 1):
+        f_in = _ref_mix_factor(n, mu, k, r + d - 1)
+        f_out = _ref_mix_factor(n, mu, k, n - r - 1)
+        if f_in == 0.0 or f_out == 0.0:
+            terms.append(0.0)
+            continue
+        terms.append(math.exp(_ref_log_binom(n - d, r) + r * math.log(f_in)
+                              + (n - d - r) * math.log(f_out)))
+    return np.array(terms)
+
+
+def _assert_matches_reference(ev, n, mu, k, d):
+    ref = _ref_bound_terms(n, mu, k, d, ev.r_start)
+    assert ev.terms.shape == ref.shape
+    assert ((ev.terms == 0.0) == (ref == 0.0)).all()
+    nz = ref > 0.0
+    assert (np.abs(ev.terms[nz] - ref[nz]) <= 1e-9 * ref[nz]).all()
+    assert abs(ev.raw_sum - ref.sum()) <= 1e-12 * ref.sum()
+
+
+# n=9000 crosses the kernel's 4096-wide block boundary; K = n//2 + 2
+# leaves the outside pool m_out = n-r-1 below K for the largest r
+_GRID_N = (10, 31, 200, 9000)
+_GRID_MU = (0.1, 0.5, 0.99)
+
+
+def _grid_k(n):
+    return (2, 3, 5, n // 2 + 2)
+
+
+@pytest.mark.parametrize("n", _GRID_N)
+def test_union_bound_matches_scalar_reference(n):
+    for mu in _GRID_MU:
+        for k in _grid_k(n):
+            _assert_matches_reference(union_bound_sum(n, mu, k, 1), n, mu, k, 0)
+
+
+@pytest.mark.parametrize("n", _GRID_N)
+def test_deleted_union_bound_matches_scalar_reference(n):
+    for mu in _GRID_MU:
+        for k in _grid_k(n):
+            for d in (0, 1, 3):
+                ev = union_bound_sum_deleted(n, mu, k, d, 1)
+                _assert_matches_reference(ev, n, mu, k, d)
+
+
+def test_union_bound_matches_reference_with_many_deletions():
+    # d well above the block size keeps the kernel's lgamma spans apart
+    for n, mu, k, d in ((200, 0.5, 3, 150), (9000, 0.5, 5, 5000),
+                        (9000, 0.1, 3, 5000)):
+        ev = union_bound_sum_deleted(n, mu, k, d, 1)
+        _assert_matches_reference(ev, n, mu, k, d)
+
+
+def test_union_bound_beyond_float64_is_inf_and_clamped():
+    # terms near r = (n-d)/2 exceed float64; the scalar loop raised here
+    ev = union_bound_sum_deleted(9000, 0.5, 2, 5000, 1)
+    assert ev.raw_sum == math.inf
+    assert ev.value == 1.0
+
+
+def test_cut_probabilities_match_scalar_reference():
+    for n, mu, k in ((10, 0.5, 2), (200, 0.1, 3), (9000, 0.99, 5), (31, 0.5, 17)):
+        for r in (1, 2, n // 3, n // 2, n - 4):
+            assert exact_cut_probability(n, mu, k, r) == pytest.approx(
+                _ref_cut_probability(n, mu, k, 0, r), rel=1e-12, abs=0.0)
+            for d in (1, 3):
+                got = exact_cut_probability_deleted(n, mu, k, d, r)
+                assert got == pytest.approx(
+                    _ref_cut_probability(n, mu, k, d, r), rel=1e-12, abs=0.0)
+
+
 def test_single_node_cut_probability_is_exactly_zero():
     # a lone node always selects someone, so {v} can never be a cut
     for n in (5, 20, 100):
@@ -124,6 +221,14 @@ def test_deleted_union_bound_nondecreasing_in_d():
     assert all(a <= b for a, b in zip(vals, vals[1:]))
     assert union_bound_sum_deleted(30, 0.5, 2, 0, 3).raw_sum == \
         union_bound_sum(30, 0.5, 2, 3).raw_sum
+
+
+def test_direct_mode_refuses_binomials_beyond_float64():
+    # C(3000, 1500) ~ 1e901 has no float64 value
+    with pytest.raises(ParameterError, match="exceeds float64"):
+        union_bound_sum(3000, 0.5, 2, 1, mode="direct")
+    with pytest.raises(ParameterError, match="exceeds float64"):
+        union_bound_sum_deleted(3000, 0.5, 2, 20, 1, mode="direct")
 
 
 def test_union_bound_validates_limits():
