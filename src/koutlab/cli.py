@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import ast
 import json
+import math
 import os
 import secrets
 import sys
@@ -110,14 +111,21 @@ def _vec(text, kind, flag):
     try:
         return tuple(kind(tok) for tok in str(text).split(","))
     except ValueError:
-        raise ParameterError(f"{flag} expects a comma-separated list") from None
+        raise ParameterError(f"{flag} expects a comma-separated list of numbers, "
+                             f"got {text!r}") from None
+
+
+def _sweep_value(token):
+    return float(token) if ("." in token or "e" in token.lower()) else int(token)
 
 
 def _resolve_seed(seed):
     # a missing seed is drawn once and echoed so the run stays reproducible
     if seed is None:
         return secrets.randbits(63)
-    return int(seed)
+    if not isinstance(seed, int) or seed < 0:
+        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
+    return seed
 
 
 def _graph_params(args) -> GraphParams:
@@ -217,9 +225,7 @@ def cmd_sweep(args) -> int:
         "format": args.format,
     }
     if args.sweep_values is not None:
-        toks = str(args.sweep_values).split(",")
-        numeric = [float(t) if ("." in t or "e" in t.lower()) else int(t) for t in toks]
-        overrides["sweep_values"] = numeric
+        overrides["sweep_values"] = _vec(args.sweep_values, _sweep_value, "--sweep-values")
     for key, value in overrides.items():
         if value is not None:
             conf[key] = value
@@ -249,6 +255,10 @@ def cmd_sweep(args) -> int:
 
 def _num(v):
     return repr(v) if isinstance(v, float) else str(v)
+
+
+def _finite_or_none(v):
+    return v if math.isfinite(v) else None
 
 
 def _bound_rows(args, kind):
@@ -368,9 +378,12 @@ def cmd_oracle(args) -> int:
                                             mode=args.mode)
         label, low = "x", args.x
     if args.format == "json":
+        # strict JSON has no Infinity: a sum or term beyond float64 is null
         payload = {"n": args.n, "mu": args.mu, "K": args.k, "d": args.d, label: low,
-                   "mode": ev.arithmetic_mode, "value": ev.value, "raw_sum": ev.raw_sum,
-                   "terms": ev.terms.tolist(), "r_start": ev.r_start}
+                   "mode": ev.arithmetic_mode, "value": ev.value,
+                   "raw_sum": _finite_or_none(ev.raw_sum),
+                   "terms": [_finite_or_none(t) for t in ev.terms.tolist()],
+                   "r_start": ev.r_start}
         _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
     else:
         _emit(

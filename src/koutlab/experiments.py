@@ -15,6 +15,7 @@ import json
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -22,8 +23,8 @@ import numpy as np
 
 from .component_analysis import component_labels, connected_components
 from .errors import ParameterError
-from .graph_model import (GraphParams, construct_two_type, couple_extend, draw_arcs,
-                          two_type_params)
+from .graph_model import (GraphParams, construct_two_type, couple_extend, draw_trial,
+                          two_type_params, union_arcs)
 from . import bounds
 from .oracle import union_bound_sum
 
@@ -64,34 +65,117 @@ def trial_stream(master_seed, point_index, trial_index) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(ss))
 
 
+# SeedSequence's mixing constants (numpy/random/bit_generator.pyx), for
+# trial_keys
+_MASK32 = 0xFFFFFFFF
+_INIT_A, _MULT_A, _INIT_B, _MULT_B = 0x43B0D7E5, 0x931E8875, 0x8B51F9DD, 0x58F38DED
+_MIX_MULT_L, _MIX_MULT_R, _XSHIFT = 0xCA01F9DD, 0x4973F715, 16
+_POOL_SIZE = 4
+
+
+def _words(value):
+    # SeedSequence's uint32 words of a non-negative integer, least first
+    words = [value & _MASK32]
+    value >>= 32
+    while value:
+        words.append(value & _MASK32)
+        value >>= 32
+    return words
+
+
+def trial_keys(master_seed, point_index, lo, hi) -> np.ndarray:
+    """The Philox keys of trial_stream(master_seed, point_index, t) for
+    t in lo..hi-1, as a (hi - lo, 2) uint64 array.
+
+    A fresh Philox starts at counter 0 under the key that SeedSequence's
+    generate_state(2, np.uint64) derives, so its stream is fixed by the
+    key alone.  This runs that derivation (hashmix and mix over uint32
+    words) once for the whole range: the words of the seed and the point
+    are shared, and t is the last word, a uint32 array.  Each step works
+    on Python ints and uint32 arrays alike, masked to 32 bits.
+    """
+    master_seed, point_index, lo, hi = int(master_seed), int(point_index), int(lo), int(hi)
+    if master_seed < 0 or point_index < 0:
+        raise ParameterError("seeds and point indices must be non-negative")
+    if not 0 <= lo <= hi <= 1 << 32:
+        raise ParameterError("trial indices must lie in [0, 2**32)")
+    entropy = _words(master_seed) + _words(point_index) + [np.arange(lo, hi, dtype=np.uint32)]
+    hash_const = _INIT_A
+
+    def hashmix(value):
+        nonlocal hash_const
+        value = value ^ hash_const
+        hash_const = hash_const * _MULT_A & _MASK32
+        value = value * hash_const & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    def mix(x, y):
+        value = ((_MIX_MULT_L * x & _MASK32) - (_MIX_MULT_R * y & _MASK32)) & _MASK32
+        return value ^ (value >> _XSHIFT)
+
+    pool = [hashmix(entropy[i] if i < len(entropy) else 0) for i in range(_POOL_SIZE)]
+    for src in range(_POOL_SIZE):
+        for dst in range(_POOL_SIZE):
+            if src != dst:
+                pool[dst] = mix(pool[dst], hashmix(pool[src]))
+    for word in entropy[_POOL_SIZE:]:
+        for dst in range(_POOL_SIZE):
+            pool[dst] = mix(pool[dst], hashmix(word))
+    words = []
+    hash_const = _INIT_B
+    for word in pool:  # generate_state: four uint32 words make the two uint64s
+        word = word ^ hash_const
+        hash_const = hash_const * _MULT_B & _MASK32
+        word = word * hash_const & _MASK32
+        words.append(np.asarray(word ^ (word >> _XSHIFT), dtype=np.uint64))
+    keys = np.empty((hi - lo, 2), dtype=np.uint64)
+    keys[:, 0] = words[0] | words[1] << np.uint64(32)
+    keys[:, 1] = words[2] | words[3] << np.uint64(32)
+    return keys
+
+
+_ZEROS4 = np.zeros(4, dtype=np.uint64)
+
+
+def _rekey(rng, key):
+    """Reset rng's Philox to the state a new Philox keyed by key starts in:
+    counter 0, an empty output buffer, no saved 32-bit half."""
+    rng.bit_generator.state = {
+        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
+        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
+    }
+
+
 # Trials are labeled together in batches of at most this many nodes (one
 # trial when n is larger): enough to amortize numpy's per-call cost at
 # small n, small enough that a batch's arrays add no measurable memory.
 _BATCH_NODES = 4096
+# Keys are derived for at most about this many trials at a time.
+_KEY_CHUNK = 4096
 
 
-def _batch_cmax(params, d, master_seed, point_index, lo, hi) -> np.ndarray:
-    """cmax of trials lo..hi-1, labeled as one disjoint union of graphs.
+def _batch_cmax(params, d, rng, keys) -> np.ndarray:
+    """cmax of the trials with these keys, labeled as one disjoint union.
 
-    Each trial draws from its own stream in construct_r_type's order,
-    then delete_random_nodes' choice; trial b's nodes are offset by b*n.
+    One generator serves every trial: it is rekeyed, then draws the
+    trial (draw_trial) and, with d > 0, the deleted nodes as
+    delete_random_nodes does.  Everything else runs on the whole batch;
+    trial b's nodes are offset by b*n.
     """
     n = params.n
-    srcs, dsts, dead = [], [], []
-    for t in range(lo, hi):
-        rng = trial_stream(master_seed, point_index, t)
-        src, dst = draw_arcs(params, rng)
-        srcs.append(src)
-        dsts.append(dst)
+    xs, blocks, dead = [], [], []
+    for key in keys:
+        _rekey(rng, key)
+        x, picks = draw_trial(params, rng)
+        xs.append(x)
+        blocks.append(picks)
         if d:
             dead.append(rng.choice(n, size=d, replace=False))
-    starts = np.arange(hi - lo, dtype=np.int64) * n
-    offset = np.repeat(starts, [a.size for a in srcs])
-    u = np.concatenate(srcs) + offset
-    v = np.concatenate(dsts) + offset
-    nodes = starts.size * n
+    u, v = union_arcs(params, np.stack(xs), [np.concatenate(c) for c in zip(*blocks)])
+    nodes = len(keys) * n
     if d:
         alive = np.ones(nodes, dtype=bool)
+        starts = np.arange(len(keys), dtype=np.int64) * n
         alive[(np.stack(dead) + starts[:, None]).ravel()] = False
         keep = alive[u] & alive[v]
         labels = component_labels(nodes, u[keep], v[keep])[alive]
@@ -103,27 +187,39 @@ def _batch_cmax(params, d, master_seed, point_index, lo, hi) -> np.ndarray:
 def _run_block(args):
     params, d, master_seed, point_index, lo, hi = args
     step = max(1, _BATCH_NODES // params.n)
-    return np.concatenate([
-        _batch_cmax(params, d, master_seed, point_index, a, min(a + step, hi))
-        for a in range(lo, hi, step)
-    ])
+    chunk = step * max(1, _KEY_CHUNK // step)
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before every trial
+    out = []
+    for a in range(lo, hi, chunk):
+        keys = trial_keys(master_seed, point_index, a, min(a + chunk, hi))
+        out.extend(_batch_cmax(params, d, rng, keys[b:b + step])
+                   for b in range(0, len(keys), step))
+    return np.concatenate(out)
+
+
+def _pool_size(workers, tasks) -> int:
+    """Processes for a pool: the request, capped by the task count and the CPUs."""
+    return max(1, min(workers, tasks, os.cpu_count() or 1))
 
 
 def collect_cmax(params, d, trials, seed, point_index=0, workers=None) -> np.ndarray:
     """Largest-component size of every trial, in trial order."""
     trials = int(trials)
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    if not 1 <= trials <= 1 << 32:
+        raise ParameterError("need between 1 and 2**32 trials")
     if not 0 <= int(d) < params.n:
         raise ParameterError("deletion count must satisfy 0 <= d < n")
-    workers = resolve_workers(workers)
-    if workers == 1:
-        return _run_block((params, int(d), seed, point_index, 0, trials))
+    if int(seed) < 0:
+        raise ParameterError("seed must be a non-negative integer")
+    workers = _pool_size(resolve_workers(workers), trials)
     size = max(256, -(-trials // (workers * 4)))
     tasks = [
         (params, int(d), seed, point_index, lo, min(lo + size, trials))
         for lo in range(0, trials, size)
     ]
+    workers = _pool_size(workers, len(tasks))
+    if workers == 1:
+        return _run_block((params, int(d), seed, point_index, 0, trials))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(_run_block, tasks))
     return np.concatenate(blocks)
@@ -194,14 +290,23 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep_param not in _SWEEP_AXES:
             raise ParameterError(f"sweep_param must be one of {_SWEEP_AXES}")
-        values = tuple(self.sweep_values)
+        values = self.sweep_values
+        if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
+            raise ParameterError(f"sweep_values must be a list of values, got {values!r}")
+        values = tuple(values)
         if not values:
             raise ParameterError("sweep needs at least one value")
         object.__setattr__(self, "sweep_values", values)
-        if int(self.trials) < 1:
+        fields = [("n", int), ("k", int), ("d", int), ("trials", int), ("seed", int),
+                  ("mu", float), ("overlay_eps", float)]
+        fields += [(name, int) for name in ("overlay_m", "overlay_x")
+                   if getattr(self, name) is not None]
+        for name, kind in fields:
+            object.__setattr__(self, name, _number(getattr(self, name), kind, name))
+        if self.trials < 1:
             raise ParameterError("need at least one trial per point")
-        object.__setattr__(self, "trials", int(self.trials))
-        object.__setattr__(self, "seed", int(self.seed))
+        if self.seed < 0:
+            raise ParameterError("seed must be a non-negative integer")
         names = []
         for name in self.overlays:
             if name not in _OVERLAY_NAMES:
@@ -216,20 +321,30 @@ class ExperimentConfig:
 
     def resolve_points(self):
         """(value, GraphParams, d) for every sweep value, validated."""
+        axis = self.sweep_param
         points = []
         for v in self.sweep_values:
-            if self.sweep_param == "mu":
-                points.append((float(v), two_type_params(self.n, float(v), self.k), int(self.d)))
-            elif self.sweep_param == "K":
-                points.append((int(v), two_type_params(self.n, self.mu, int(v)), int(self.d)))
-            elif self.sweep_param == "d":
-                params = two_type_params(self.n, self.mu, self.k)
-                if not 0 <= int(v) < self.n:
-                    raise ParameterError("swept deletion counts must satisfy 0 <= d < n")
-                points.append((int(v), params, int(v)))
-            else:
-                points.append((int(v), two_type_params(int(v), self.mu, self.k), int(self.d)))
+            v = _number(v, float if axis == "mu" else int, f"{axis} sweep value")
+            n = v if axis == "n" else self.n
+            d = v if axis == "d" else self.d
+            params = two_type_params(n, v if axis == "mu" else self.mu,
+                                     v if axis == "K" else self.k)
+            if not 0 <= d < n:
+                raise ParameterError(f"deletion count d={d} must satisfy 0 <= d < n={n}")
+            points.append((v, params, d))
         return points
+
+
+def _number(value, kind, what):
+    """value as kind (int or float); a ParameterError names what otherwise."""
+    try:
+        number = kind(value)
+    except (TypeError, ValueError, OverflowError):
+        number = None
+    if number is None or (kind is int and isinstance(value, float) and number != value):
+        raise ParameterError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
+                             f"got {value!r}")
+    return number
 
 
 def plausibility_floor(n, mu, k, trials):
@@ -299,27 +414,53 @@ def _overlay_values(config, params, d):
     return out
 
 
+@contextmanager
+def _staged(paths):
+    """Text handles on a .part file beside each path.  When the block
+    ends cleanly each .part replaces its path; when it raises, every
+    .part is removed and no path is touched."""
+    parts = [path.with_name(path.name + ".part") for path in paths]
+    handles = []
+    try:
+        try:
+            for part in parts:
+                handles.append(open(part, "w", encoding="utf-8"))
+        except OSError as err:
+            raise ParameterError(f"cannot write output: {err}") from None
+        yield handles
+        for handle in handles:
+            handle.close()
+        for part, path in zip(parts, paths):
+            os.replace(part, path)
+    except BaseException:
+        for handle, part in zip(handles, parts):
+            handle.close()
+            part.unlink(missing_ok=True)
+        raise
+
+
 def run_sweep(config: ExperimentConfig, workers=None):
     """Run every sweep point; emit CSV (and a JSON mirror) when out is set.
 
     Returns (summaries, dataset) where dataset is the JSON-ready dict.
-    Output files are opened before any computation so an unwritable
-    path fails fast.
+    The outputs are staged before any computation, so an unwritable path
+    fails fast, and a sweep that fails leaves no output file behind.
     """
     points = config.resolve_points()
-    csv_handle = json_handle = None
+    paths = []
     if config.out is not None:
         base = Path(config.out)
         if base.suffix in (".csv", ".json"):
             base = base.with_suffix("")
-        try:
-            csv_handle = open(base.with_suffix(".csv"), "w", encoding="utf-8")
-            json_handle = open(base.with_suffix(".json"), "w", encoding="utf-8")
-        except OSError as err:
-            if csv_handle is not None:
-                csv_handle.close()
-            raise ParameterError(f"cannot write output: {err}") from None
+        paths = [base.with_suffix(".csv"), base.with_suffix(".json")]
+    with _staged(paths) as handles:
+        summaries, dataset = _sweep(config, points, workers)
+        for handle, render in zip(handles, (render_csv, render_json)):
+            handle.write(render(dataset))
+    return summaries, dataset
 
+
+def _sweep(config, points, workers):
     summaries = []
     json_points = []
     for idx, (value, params, d) in enumerate(points):
@@ -355,11 +496,6 @@ def run_sweep(config: ExperimentConfig, workers=None):
         "trials": config.trials,
         "points": json_points,
     }
-    if csv_handle is not None:
-        with csv_handle:
-            csv_handle.write(render_csv(dataset))
-        with json_handle:
-            json_handle.write(render_json(dataset))
     return summaries, dataset
 
 

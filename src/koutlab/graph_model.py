@@ -216,87 +216,113 @@ class InducedSubgraph:
 # construction
 
 
+def types_from_uniforms(params: GraphParams, x) -> np.ndarray:
+    """Node types from the type draw's uniforms x (any shape).
+
+    A node's type is the number of inner bin edges (all of cum_probs but
+    the last) at or below its uniform: the index of its bin, with a
+    uniform past a last edge that rounds below 1 kept in the last class.
+    """
+    types = np.zeros(np.shape(x), dtype=np.int64)
+    for edge in params.cum_probs[:-1]:
+        types += x >= edge
+    return types
+
+
 def assign_types(params: GraphParams, rng) -> np.ndarray:
     """Independent per-node type draw: index i with probability mu_i."""
-    rng = as_generator(rng)
-    t = np.searchsorted(params.cum_probs, rng.random(params.n), side="right")
-    return np.minimum(t, params.r - 1).astype(np.int64, copy=False)
+    return types_from_uniforms(params, as_generator(rng).random(params.n))
 
 
 def _rows_with_repeats(sel) -> np.ndarray:
     # indices of the rows of sel that hold some value twice
     if sel.shape[1] == 2:
-        return np.flatnonzero(sel[:, 0] == sel[:, 1])
+        return (sel[:, 0] == sel[:, 1]).nonzero()[0]
     s = np.sort(sel, axis=1)
-    return np.flatnonzero((s[:, 1:] == s[:, :-1]).any(axis=1))
+    return (s[:, 1:] == s[:, :-1]).any(axis=1).nonzero()[0]
 
 
-def _draw_selection_block(rng, members, k, n):
-    """k distinct self-avoiding uniform picks for each member node.
+def _redraw_repeats(rng, rows, n):
+    """Redraw, in place, every row of raw picks that holds a value twice.
 
-    Draws k iid picks from the n-1 other nodes via an index shift, then
-    redraws any row containing a duplicate; acceptance of the first
-    all-distinct row keeps the law exactly uniform over k-subsets.
-    Rows come back in draw order, not sorted.
+    Accepting the first all-distinct draw of a row keeps it uniform over
+    the k-subsets.  Rows are checked before the self-avoiding shift,
+    which is monotone within a row and so keeps repeats as they are.
     """
-    sel = rng.integers(0, n - 1, size=(members.size, k))
-    sel += sel >= members[:, None]
-    if k == 1:
-        return sel
-    while True:
-        bad = _rows_with_repeats(sel)
-        if bad.size == 0:
-            return sel
-        redo = rng.integers(0, n - 1, size=(bad.size, k))
-        redo += redo >= members[bad][:, None]
-        sel[bad] = redo
+    bad = _rows_with_repeats(rows)
+    while bad.size:
+        redo = rng.integers(0, n - 1, size=(bad.size, rows.shape[1]))
+        rows[bad] = redo
+        bad = bad[_rows_with_repeats(redo)]
 
 
-def _draw_classes(params: GraphParams, types: np.ndarray, rng):
-    """Selection blocks class by class in type order, members in node order.
+def draw_trial(params: GraphParams, rng):
+    """One graph's randomness, drawn from rng in the order every sampler uses.
 
-    Yields (members, k, block).  This loop fixes the order in which a draw
-    consumes its stream; construct_r_type and draw_arcs both go through
-    it, so they draw the same graph from the same stream.
+    Returns (x, blocks).  x = rng.random(n) are the uniforms of the type
+    draw (see types_from_uniforms).  blocks[t] holds the k_t picks of
+    each class-t node, nodes in order, row by row; a pick is raw, in
+    [0, n-1), and node i's pick p is node p + (p >= i).  Each class with
+    k >= 2 picks is drawn and then redrawn until its rows are distinct
+    before the next class is drawn.  Selection counts increase, so only
+    class 0 can make single picks; they never repeat, so they are drawn
+    by the same integers call as class 1's, which draws the same numbers
+    as two calls because calls with one bound consume the stream in turn.
     """
-    for t, k in enumerate(params.type_selections):
-        members = (types == t).nonzero()[0]
-        if members.size:
-            yield members, k, _draw_selection_block(rng, members, k, params.n)
+    n, ks = params.n, params.type_selections
+    x = rng.random(n)
+    above = [n] + [np.count_nonzero(x >= e) for e in params.cum_probs[:-1]] + [0]
+    sizes = [(above[t] - above[t + 1]) * k for t, k in enumerate(ks)]
+    joint = ks[0] == 1
+    blocks = []
+    for t in range(int(joint), len(ks)):
+        lead = sizes[0] if joint and t == 1 else 0
+        size = lead + sizes[t]
+        raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
+        if joint and t == 1:
+            blocks.append(raw[:lead])
+            raw = raw[lead:]
+        _redraw_repeats(rng, raw.reshape(-1, ks[t]), n)
+        blocks.append(raw)
+    return x, blocks
 
 
-def _realize(params: GraphParams, types: np.ndarray, rng) -> KoutGraph:
+def union_arcs(params: GraphParams, x, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The raw arcs (src, pick) of B draws, as one graph on B*n nodes.
+
+    x is the (B, n) stack of the draws' uniforms and blocks[t] the
+    concatenation, in draw order, of their class-t blocks (draw_trial);
+    node i of draw b is node b*n + i.  Arcs come class by class and are
+    not deduplicated: repeated and mutual picks do not change the
+    components.
+    """
     n = params.n
-    ks = np.asarray(params.type_selections, dtype=np.int64)
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(ks[types], out=indptr[1:])
-    flat = np.empty(int(indptr[-1]), dtype=np.int64)
-    for members, k, block in _draw_classes(params, types, rng):
-        flat[indptr[members][:, None] + np.arange(k)] = np.sort(block, axis=1)
-    return KoutGraph(params=params, node_types=types, sel_indptr=indptr, sel_flat=flat)
-
-
-def draw_arcs(params: GraphParams, rng) -> tuple[np.ndarray, np.ndarray]:
-    """The raw selection arcs (src, pick) of one draw, as int64 arrays.
-
-    Consumes rng exactly as construct_r_type does, so the arcs are those
-    of the graph construct_r_type would return for the same stream.
-    Arcs come class by class and are not deduplicated: repeated and
-    mutual picks do not change the components.
-    """
-    types = assign_types(params, rng)
+    types = types_from_uniforms(params, x).ravel()
     src, dst = [], []
-    for members, k, block in _draw_classes(params, types, rng):
-        src.append(members if k == 1 else np.repeat(members, k))
-        dst.append(block.ravel())
+    for t, (k, pick) in enumerate(zip(params.type_selections, blocks)):
+        node = np.flatnonzero(types == t)
+        if k > 1:
+            node = np.repeat(node, k)
+        local = node % n
+        src.append(node)
+        dst.append(pick + (pick >= local) + (node - local))
     return np.concatenate(src), np.concatenate(dst)
 
 
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:
     """Draw one graph from the r-class ensemble."""
-    rng = as_generator(rng)
-    types = assign_types(params, rng)
-    return _realize(params, types, rng)
+    x, blocks = draw_trial(params, as_generator(rng))
+    types = types_from_uniforms(params, x)
+    ks = params.type_selections
+    indptr = np.zeros(params.n + 1, dtype=np.int64)
+    np.cumsum(np.asarray(ks, dtype=np.int64)[types], out=indptr[1:])
+    flat = np.empty(int(indptr[-1]), dtype=np.int64)
+    for t, (k, block) in enumerate(zip(ks, blocks)):
+        members = np.flatnonzero(types == t)
+        sel = block.reshape(-1, k)
+        sel = sel + (sel >= members[:, None])
+        flat[indptr[members][:, None] + np.arange(k)] = np.sort(sel, axis=1)
+    return KoutGraph(params=params, node_types=types, sel_indptr=indptr, sel_flat=flat)
 
 
 def construct_two_type(params: GraphParams, rng) -> KoutGraph:

@@ -147,6 +147,44 @@ def test_sweep_config_errors(capsys, tmp_path):
     assert code == 2 and "cannot write" in err
 
 
+@pytest.mark.parametrize("command", [
+    ["sweep", "--sweep-param", "mu", "--sweep-values", "0.5", "--n", "30", "--trials", "5"],
+    ["sample", "--n", "10"],
+])
+def test_negative_seed_exits_two(capsys, command):
+    code, out, err = run_cli(capsys, *command, "--seed", "-1")
+    assert code == 2 and out == ""
+    assert "seed must be a non-negative integer" in err
+
+
+def test_seed_beyond_64_bits_is_kept(capsys):
+    seed = str(2**64 + 1)
+    code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "mu", "--sweep-values", "0.5",
+                           "--n", "30", "--trials", "5", "--seed", seed)
+    assert code == 0 and out.strip().split("\n")[1].endswith("," + seed)
+    code, out, _ = run_cli(capsys, "sample", "--n", "10", "--seed", seed)
+    assert code == 0 and f"seed={seed}" in out
+
+
+def test_bad_sweep_values_exit_two(capsys, tmp_path):
+    code, out, err = run_cli(capsys, "sweep", "--sweep-param", "mu",
+                             "--sweep-values", "0.1,abc", "--n", "30")
+    assert code == 2 and out == ""
+    assert "--sweep-values" in err and "abc" in err
+    conf = tmp_path / "scalar.conf"
+    conf.write_text('sweep_param = "mu"\nsweep_values = 5\nn = 30\n')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert "sweep_values must be a list" in err
+
+
+def test_failed_sweep_writes_no_files(capsys, tmp_path):
+    code, _, err = run_cli(capsys, "sweep", "--sweep-param", "n", "--sweep-values", "50,10",
+                           "--d", "20", "--trials", "5", "--out", str(tmp_path / "X"))
+    assert code == 2 and "d=20" in err
+    assert list(tmp_path.iterdir()) == []
+
+
 def test_sweep_requires_axis(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "30", "--trials", "5")
     assert code == 2
@@ -274,6 +312,20 @@ def test_oracle_json_includes_terms(capsys):
     payload = json.loads(out)
     assert payload["r_start"] == 3
     assert len(payload["terms"]) == 10 - 3 + 1
+
+
+def test_oracle_json_is_strict_beyond_float64(capsys):
+    def reject(constant):
+        raise ValueError(f"non-standard JSON constant {constant}")
+
+    code, out, _ = run_cli(capsys, "oracle", "--n", "9000", "--mu", "0.5", "--k", "2",
+                           "--d", "5000", "--x", "1", "--format", "json")
+    assert code == 0
+    payload = json.loads(out, parse_constant=reject)
+    assert payload["value"] == 1.0
+    assert payload["raw_sum"] is None
+    assert None in payload["terms"]
+    assert all(t is None or t >= 0.0 for t in payload["terms"])
 
 
 def test_validate_failure_exits_three(capsys, monkeypatch):

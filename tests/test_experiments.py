@@ -10,7 +10,7 @@ from koutlab.component_analysis import connected_components
 from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
-                                 run_sweep, trial_stream)
+                                 run_sweep, trial_keys, trial_stream)
 from koutlab.graph_model import (GraphParams, construct_r_type, construct_two_type,
                                  delete_random_nodes, two_type_params)
 
@@ -73,6 +73,90 @@ def test_collect_cmax_matches_per_trial_reference(params, d, trials, workers):
     got = collect_cmax(params, d, trials, seed=31, point_index=2, workers=workers)
     assert got.dtype == np.int64
     assert np.array_equal(got, _per_trial_cmax(params, d, trials, 31, point_index=2))
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 20240819,
+                                  2**200 + 5])  # the last has more than four words
+@pytest.mark.parametrize("point", [0, 1, 7])
+def test_trial_keys_match_seed_sequence(seed, point):
+    for lo, hi in ((0, 601), (2**32 - 4, 2**32)):
+        want = [np.random.SeedSequence((seed, point, t)).generate_state(2, np.uint64)
+                for t in range(lo, hi)]
+        got = trial_keys(seed, point, lo, hi)
+        assert got.dtype == np.uint64 and got.shape == (hi - lo, 2)
+        assert np.array_equal(got, np.array(want))
+
+
+def test_trial_keys_reject_out_of_range_coordinates():
+    for args in ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 0, 2**32 + 1), (0, 0, -1, 1)):
+        with pytest.raises(ParameterError):
+            trial_keys(*args)
+
+
+def _draws(rng):
+    # every kind of call a trial makes, with an odd count of 32-bit draws
+    # so that a saved half is left over between calls
+    return [rng.random(7), rng.integers(0, 29, size=5), rng.integers(0, 29, size=(3, 2)),
+            rng.choice(30, size=4, replace=False), rng.integers(0, 5000, size=3)]
+
+
+def test_rekeyed_generator_matches_trial_stream():
+    rng = np.random.Generator(np.random.Philox(0))
+    for seed, point, t in ((31, 2, 0), (31, 2, 599), (2**64 + 1, 0, 5), (0, 7, 2**32 - 1)):
+        _draws(rng)  # leave the previous trial's state behind
+        experiments._rekey(rng, trial_keys(seed, point, t, t + 1)[0])
+        got, want = _draws(rng), _draws(trial_stream(seed, point, t))
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+@pytest.mark.parametrize("d", [0, 3])
+def test_collect_cmax_at_a_seed_beyond_64_bits(d):
+    params = two_type_params(30, 0.5, 2)
+    got = collect_cmax(params, d, 150, seed=2**64 + 1, point_index=1)
+    assert np.array_equal(got, _per_trial_cmax(params, d, 150, 2**64 + 1, point_index=1))
+
+
+def test_negative_seeds_are_rejected():
+    params = two_type_params(30, 0.5, 2)
+    with pytest.raises(ParameterError, match="seed"):
+        collect_cmax(params, 0, 5, seed=-1)
+    with pytest.raises(ParameterError, match="seed"):
+        ExperimentConfig(sweep_param="mu", sweep_values=(0.5,), n=30, k=2, seed=-1)
+
+
+class _RecordingPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+@pytest.mark.parametrize("cpus,workers,trials,want", [
+    (2, 64, 3000, 2),     # capped by the CPUs
+    (8, 64, 600, 3),      # capped by the task count: three tasks of 256
+    (8, 3, 3000, 3),      # the request stands
+    (1, 64, 3000, None),  # one CPU: no pool
+    (8, 64, 100, None),   # one task: no pool
+])
+def test_worker_count_is_bounded(monkeypatch, cpus, workers, trials, want):
+    monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(_RecordingPool, "sizes", [])
+    params = two_type_params(20, 0.5, 2)
+    got = collect_cmax(params, 0, trials, seed=3, workers=workers)
+    assert _RecordingPool.sizes == ([] if want is None else [want])
+    assert np.array_equal(got, collect_cmax(params, 0, trials, seed=3, workers=1))
 
 
 # sha256 of the sweep CSV and JSON bytes, recorded from the per-trial
@@ -199,6 +283,51 @@ def test_run_sweep_fails_fast_on_unwritable_path(tmp_path):
                             out="/nonexistent-dir/x")
     with pytest.raises(ParameterError):
         run_sweep(conf)  # must error before the heavy computation starts
+
+
+def test_failed_sweep_leaves_no_output(tmp_path, monkeypatch):
+    (tmp_path / "x.csv").write_text("earlier run\n")
+    conf = ExperimentConfig(sweep_param="mu", sweep_values=(0.3, 0.7), n=30, k=2,
+                            trials=5, seed=1, out=str(tmp_path / "x"))
+    real_run_point = experiments.run_point
+
+    def fail_on_second_point(*args, **kwargs):
+        if kwargs["point_index"] == 1:
+            raise RuntimeError("interrupted")
+        return real_run_point(*args, **kwargs)
+
+    monkeypatch.setattr(experiments, "run_point", fail_on_second_point)
+    with pytest.raises(RuntimeError):
+        run_sweep(conf)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["x.csv"]
+    assert (tmp_path / "x.csv").read_text() == "earlier run\n"
+
+
+def test_sweep_over_n_checks_the_deletion_count():
+    with pytest.raises(ParameterError, match="d=20"):
+        ExperimentConfig(sweep_param="n", sweep_values=(50, 10), mu=0.5, k=2, d=20, trials=5)
+
+
+@pytest.mark.parametrize("axis,values", [
+    ("mu", (0.1, "abc")), ("K", (2, 2.5)), ("n", (30, None)), ("d", ("x",)),
+])
+def test_bad_sweep_values_are_named(axis, values):
+    with pytest.raises(ParameterError, match=f"{axis} sweep value"):
+        ExperimentConfig(sweep_param=axis, sweep_values=values, n=30, mu=0.5, k=2)
+    with pytest.raises(ParameterError, match="sweep_values"):
+        ExperimentConfig(sweep_param=axis, sweep_values=5, n=30, mu=0.5, k=2)
+
+
+@pytest.mark.parametrize("field,value", [
+    ("n", "thirty"), ("trials", 2.5), ("seed", "x"), ("mu", None), ("overlay_m", "x"),
+    ("overlay_eps", []),
+])
+def test_bad_config_fields_are_named(field, value):
+    conf = dict(sweep_param="d", sweep_values=(0,), n=30, mu=0.5, k=2, overlays=("t1",),
+                overlay_m=2)
+    conf[field] = value
+    with pytest.raises(ParameterError, match=field):
+        ExperimentConfig(**conf)
 
 
 def test_mu_sweep_average_is_decreasing():

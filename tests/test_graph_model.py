@@ -6,7 +6,8 @@ import pytest
 from koutlab import ParameterError
 from koutlab.graph_model import (GraphParams, assign_types, construct_r_type,
                                  construct_two_type, couple_extend,
-                                 delete_random_nodes, two_type_params)
+                                 delete_random_nodes, two_type_params,
+                                 types_from_uniforms)
 
 
 def test_params_validation_rejects_bad_inputs():
@@ -100,6 +101,58 @@ def test_type_assignment_frequency():
     types = assign_types(params, np.random.default_rng(11))
     frac_light = float((types == 0).mean())
     assert abs(frac_light - 0.9) < 0.005
+
+
+def test_types_from_uniforms_is_the_clipped_bin_search():
+    params = GraphParams(n=5, type_probs=(0.1, 0.2, 0.3, 0.4), type_selections=(1, 2, 3, 4))
+    cum = params.cum_probs
+    x = np.concatenate([np.random.default_rng(4).random(2000), cum, np.nextafter(cum, 0),
+                        [0.0, np.nextafter(1.0, 0)]])
+    want = np.minimum(np.searchsorted(cum, x, side="right"), params.r - 1)
+    assert np.array_equal(types_from_uniforms(params, x), want)
+    assert np.array_equal(types_from_uniforms(params, x.reshape(2, -1)), want.reshape(2, -1))
+
+
+def _class_by_class(params, rng):
+    # the reference draw: types, then for each class one integers call of
+    # shifted picks, redrawn row by row until each row is distinct
+    n = params.n
+    types = np.minimum(np.searchsorted(params.cum_probs, rng.random(n), side="right"),
+                       params.r - 1)
+    picks = {}
+    for t, k in enumerate(params.type_selections):
+        members = np.flatnonzero(types == t)
+        if members.size == 0:
+            continue
+        sel = rng.integers(0, n - 1, size=(members.size, k))
+        sel += sel >= members[:, None]
+        while True:
+            bad = [i for i, row in enumerate(sel) if len(set(row.tolist())) < k]
+            if not bad:
+                break
+            redo = rng.integers(0, n - 1, size=(len(bad), k))
+            redo += redo >= members[bad][:, None]
+            sel[bad] = redo
+        picks.update(zip(members.tolist(), np.sort(sel, axis=1)))
+    return types, [picks[i] for i in range(n)]
+
+
+@pytest.mark.parametrize("params", [
+    two_type_params(30, 0.5, 2),
+    two_type_params(12, 0.5, 6),  # most rows are redrawn
+    GraphParams(n=40, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)),
+    GraphParams(n=9, type_probs=(0.05, 0.05, 0.9), type_selections=(1, 2, 3)),  # empty classes
+    GraphParams(n=25, type_probs=(0.4, 0.6), type_selections=(2, 3)),  # no single-pick class
+])
+def test_construction_draws_the_class_by_class_stream(params):
+    for seed in range(60):
+        rng, ref = np.random.default_rng(seed), np.random.default_rng(seed)
+        g = construct_r_type(params, rng)
+        types, picks = _class_by_class(params, ref)
+        assert np.array_equal(g.node_types, types)
+        assert all(np.array_equal(g.selection_set(i), p) for i, p in enumerate(picks))
+        # both leave the stream at the same place
+        assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
 
 
 def test_selection_probability_matches_mean_over_ordered_pairs():
