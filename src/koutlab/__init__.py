@@ -19,8 +19,8 @@ from .experiments import (CouplingReport, ExperimentConfig, TrialSummary,
                           collect_cmax, coupling_experiment, plausibility_floor,
                           resolve_workers, run_point, run_sweep, trial_stream)
 from .graph_model import (DeletionSpec, GraphParams, InducedSubgraph, KoutGraph,
-                          assign_types, construct_r_type, construct_two_type,
-                          couple_extend, delete_random_nodes, two_type_params)
+                          assign_types, construct_r_type, couple_extend,
+                          delete_random_nodes, two_type_params)
 from .oracle import (BoundEvaluation, exact_cut_probability,
                      exact_cut_probability_deleted, exhaustive_event_probability,
                      union_bound_sum, union_bound_sum_deleted)
@@ -32,9 +32,9 @@ __all__ = [
     "CutRangeImplication", "DeletionSpec", "ExperimentConfig", "GraphParams",
     "InducedSubgraph", "KoutGraph", "ParameterError", "TrialSummary",
     "assign_types", "collect_cmax", "connected_components",
-    "connected_components_bfs", "construct_r_type", "construct_two_type",
-    "couple_extend", "coupling_experiment", "cut_range_implication",
-    "delete_random_nodes", "deleted_tail_bound", "deleted_tail_bound_alt",
+    "connected_components_bfs", "construct_r_type", "couple_extend",
+    "coupling_experiment", "cut_range_implication", "delete_random_nodes",
+    "deleted_tail_bound", "deleted_tail_bound_alt",
     "er_giant_fraction", "exact_cut_probability", "exact_cut_probability_deleted",
     "exhaustive_event_probability", "has_cut_in_range",
     "heuristic_giant_lower_bound", "is_cut", "mean_degree", "mean_selections",

@@ -5,13 +5,19 @@ surviving() and edge_arrays(); both KoutGraph and InducedSubgraph
 qualify.  A cut is a nonempty proper subset of the surviving nodes with
 no edge to its complement.  Every union of whole components is a cut
 and every cut is such a union, which is what makes the subset-sum
-test in has_cut_in_range exact.  component_labels works on raw arc
-arrays instead, so that many graphs can be labeled in one call.
+test in has_cut_in_range exact.
+
+Two labelers live here.  component_labels, vectorized over raw arc
+arrays so that many graphs can be labeled in one call, sizes every
+realized graph: the batched trials and connected_components, and so
+every cut query above.  _reference_sizes is a plain breadth-first
+search; it sizes the exhaustive enumerator's tiny graphs and, as
+connected_components_bfs, is the reference the vectorized labeler is
+checked against.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -30,26 +36,6 @@ class ComponentReport:
     @property
     def n_effective(self) -> int:
         return sum(self.component_sizes)
-
-
-def _dsu_parents(n, eu, ev):
-    # union-find with path halving and union by size over 0..n-1
-    parent = list(range(n))
-    size = [1] * n
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        while parent[u] != u:
-            parent[u] = parent[parent[u]]
-            u = parent[u]
-        while parent[v] != v:
-            parent[v] = parent[parent[v]]
-            v = parent[v]
-        if u == v:
-            continue
-        if size[u] < size[v]:
-            u, v = v, u
-        parent[v] = u
-        size[u] += size[v]
-    return parent
 
 
 def component_labels(size, u, v) -> np.ndarray:
@@ -82,50 +68,55 @@ def component_labels(size, u, v) -> np.ndarray:
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 
 
-def connected_components(g) -> ComponentReport:
-    """Exact component partition of a graph view via union-find."""
-    surv = g.surviving()
-    if surv.size == 0:
-        raise ParameterError("component analysis needs at least one node")
-    eu, ev = g.edge_arrays()
-    parent = _dsu_parents(g.n, eu, ev)
-    counts = {}
-    for i in surv.tolist():
-        while parent[i] != i:
-            parent[i] = parent[parent[i]]
-            i = parent[i]
-        counts[i] = counts.get(i, 0) + 1
-    sizes = tuple(sorted(counts.values(), reverse=True))
-    return ComponentReport(sizes, sizes[0], int(surv.size) - sizes[0])
+def _reference_sizes(nodes, pairs) -> tuple[int, ...]:
+    """Component sizes, largest first, of the subgraph that the edge
+    pairs induce on nodes; pairs with an end outside nodes are skipped.
 
-
-def connected_components_bfs(g) -> ComponentReport:
-    """Breadth-first dual of connected_components, kept for cross-checks."""
-    surv = g.surviving()
-    if surv.size == 0:
-        raise ParameterError("component analysis needs at least one node")
-    eu, ev = g.edge_arrays()
-    adj = {int(i): [] for i in surv.tolist()}
-    for u, v in zip(eu.tolist(), ev.tolist()):
-        adj[u].append(v)
-        adj[v].append(u)
+    The pure-Python breadth-first reference.  It serves the exhaustive
+    enumerator, whose graphs are too small for component_labels' numpy
+    calls to pay off, and the cross-checks of component_labels.
+    """
+    adj = {i: [] for i in nodes}
+    for u, v in pairs:
+        if u in adj and v in adj:
+            adj[u].append(v)
+            adj[v].append(u)
     seen = set()
     sizes = []
-    for start in surv.tolist():
+    for start in adj:
         if start in seen:
             continue
         seen.add(start)
-        queue = deque([start])
-        count = 0
-        while queue:
-            node = queue.popleft()
-            count += 1
+        queue = [start]
+        for node in queue:  # the list grows while it is read: a FIFO queue
             for nb in adj[node]:
                 if nb not in seen:
                     seen.add(nb)
                     queue.append(nb)
-        sizes.append(count)
-    sizes = tuple(sorted(sizes, reverse=True))
+        sizes.append(len(queue))
+    return tuple(sorted(sizes, reverse=True))
+
+
+def _surviving(g) -> np.ndarray:
+    surv = g.surviving()
+    if surv.size == 0:
+        raise ParameterError("component analysis needs at least one node")
+    return surv
+
+
+def connected_components(g) -> ComponentReport:
+    """Exact component partition of a graph view, via component_labels."""
+    surv = _surviving(g)
+    counts = np.bincount(component_labels(g.n, *g.edge_arrays())[surv])
+    sizes = tuple(sorted(counts[counts > 0].tolist(), reverse=True))
+    return ComponentReport(sizes, sizes[0], int(surv.size) - sizes[0])
+
+
+def connected_components_bfs(g) -> ComponentReport:
+    """Breadth-first reference for connected_components, kept for cross-checks."""
+    surv = _surviving(g)
+    eu, ev = g.edge_arrays()
+    sizes = _reference_sizes(surv.tolist(), zip(eu.tolist(), ev.tolist()))
     return ComponentReport(sizes, sizes[0], int(surv.size) - sizes[0])
 
 

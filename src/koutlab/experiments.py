@@ -23,7 +23,7 @@ import numpy as np
 
 from .component_analysis import component_labels, connected_components
 from .errors import ParameterError
-from .graph_model import (GraphParams, construct_two_type, couple_extend, draw_trial,
+from .graph_model import (GraphParams, construct_r_type, couple_extend, draw_trial,
                           two_type_params, union_arcs)
 from . import bounds
 from .oracle import union_bound_sum
@@ -524,6 +524,8 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     trials = int(trials)
     if trials < 1:
         raise ParameterError("need at least one trial")
+    if int(seed) < 0:
+        raise ParameterError("seed must be a non-negative integer")
     mu_tilde = sum(target.type_probs[:-1])
     base_params = GraphParams(
         n=target.n,
@@ -534,7 +536,7 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     base_total = ext_total = 0
     for t in range(trials):
         rng = trial_stream(seed, 0, t)
-        g2 = construct_two_type(base_params, rng)
+        g2 = construct_r_type(base_params, rng)
         ext = couple_extend(g2, target, rng)
         bu, bv = g2.edge_arrays()
         eu, ev = ext.edge_arrays()

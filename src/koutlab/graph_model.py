@@ -101,7 +101,7 @@ class KoutGraph:
 
     Selection sets are stored in CSR form; node i's (sorted) picks are
     sel_flat[sel_indptr[i]:sel_indptr[i+1]].  Instances are immutable;
-    edges and adjacency are derived lazily and cached.
+    edges are derived lazily and cached.
     """
 
     params: GraphParams
@@ -140,29 +140,9 @@ class KoutGraph:
     def edge_count(self) -> int:
         return int(self._edges[0].size)
 
-    @cached_property
-    def _adjacency(self):
-        u, v = self._edges
-        ends = np.concatenate([u, v])
-        other = np.concatenate([v, u])
-        order = np.lexsort((other, ends))
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(ends, minlength=self.n), out=indptr[1:])
-        return indptr, other[order]
-
-    def neighbors(self, i) -> np.ndarray:
-        """Sorted neighbor list of node i."""
-        indptr, flat = self._adjacency
-        return flat[indptr[i]:indptr[i + 1]]
-
     def degrees(self) -> np.ndarray:
         u, v = self._edges
         return np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-
-    def has_edge(self, i, j) -> bool:
-        nb = self.neighbors(i)
-        pos = int(np.searchsorted(nb, j))
-        return pos < nb.size and nb[pos] == j
 
 
 @dataclass(frozen=True)
@@ -323,15 +303,6 @@ def construct_r_type(params: GraphParams, rng) -> KoutGraph:
         sel = sel + (sel >= members[:, None])
         flat[indptr[members][:, None] + np.arange(k)] = np.sort(sel, axis=1)
     return KoutGraph(params=params, node_types=types, sel_indptr=indptr, sel_flat=flat)
-
-
-def construct_two_type(params: GraphParams, rng) -> KoutGraph:
-    """Two-class specialization; same draw protocol as construct_r_type."""
-    if params.r != 2:
-        raise ParameterError("two-type construction needs exactly two classes")
-    if params.type_selections[0] != 1:
-        raise ParameterError("two-type construction requires a single-pick light class")
-    return construct_r_type(params, rng)
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):

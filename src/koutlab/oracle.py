@@ -27,6 +27,7 @@ from math import comb, exp, lgamma
 
 import numpy as np
 
+from .component_analysis import _reference_sizes
 from .errors import ParameterError
 
 _MAX_ENUM_NODES = 7
@@ -257,26 +258,7 @@ class EnumeratedRealization:
     @property
     def component_sizes(self):
         if self._sizes is None:
-            parent = list(range(self.n))
-
-            def find(i):
-                while parent[i] != i:
-                    parent[i] = parent[parent[i]]
-                    i = parent[i]
-                return i
-
-            dead = self.deleted
-            for u, v in self.edges:
-                if u in dead or v in dead:
-                    continue
-                ru, rv = find(u), find(v)
-                if ru != rv:
-                    parent[rv] = ru
-            sizes = {}
-            for i in self.surviving():
-                root = find(i)
-                sizes[root] = sizes.get(root, 0) + 1
-            self._sizes = tuple(sorted(sizes.values(), reverse=True))
+            self._sizes = _reference_sizes(self.surviving(), self.edges)
         return self._sizes
 
     @property

@@ -1,10 +1,10 @@
 """Self-check suites runnable from the CLI.
 
 quick: exhaustive-oracle agreement on tiny graphs, structural
-invariants (cut implications, coupling, dual component algorithms,
-solver residuals, geometric ratios), and a fast statistical bound
-check.  full: adds the 10^5-trial statistical suites, including the
-large-sweep largest-component gate.
+invariants (cut implications, coupling, the component labeler against
+its breadth-first reference, solver residuals, geometric ratios), and
+a fast statistical bound check.  full: adds the 10^5-trial statistical
+suites, including the large-sweep largest-component gate.
 
 Suites either pass or fail; statistical checks may also attach flags
 for marginal observations that do not constitute failure.
@@ -101,7 +101,7 @@ def _suite_coupling() -> SuiteResult:
 
 
 def _suite_dual_components() -> SuiteResult:
-    """Union-find and BFS component partitions agree, with deletions."""
+    """The component labeler and its BFS reference agree, with deletions."""
     rng = np.random.default_rng(_SEED + 1)
     mismatches = 0
     cases = 200
@@ -118,7 +118,7 @@ def _suite_dual_components() -> SuiteResult:
     return SuiteResult(
         name="dual-component-algorithms",
         passed=mismatches == 0,
-        detail=f"{cases} random graphs, {mismatches} mismatches",
+        detail=f"labeler vs BFS reference, {cases} random graphs, {mismatches} mismatches",
     )
 
 

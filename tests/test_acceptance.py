@@ -18,7 +18,7 @@ from koutlab.component_analysis import (connected_components,
 from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, run_point, run_sweep,
                                  trial_stream)
-from koutlab.graph_model import GraphParams, construct_two_type, two_type_params
+from koutlab.graph_model import GraphParams, construct_r_type, two_type_params
 from koutlab.oracle import (exact_cut_probability,
                             exact_cut_probability_deleted,
                             exhaustive_event_probability, union_bound_sum)
@@ -64,7 +64,7 @@ def test_c02_cut_range_implication_holds_everywhere():
     params = two_type_params(30, 0.5, 2)
     violations = 0
     for t in range(10_000):
-        g = construct_two_type(params, trial_stream(SEED, 1, t))
+        g = construct_r_type(params, trial_stream(SEED, 1, t))
         for x in range(1, 11):
             if not cut_range_implication(g, x).holds:
                 violations += 1
@@ -171,7 +171,7 @@ def test_c09_empirical_mean_degree_matches_formula():
     total = 0.0
     trials = 200
     for _ in range(trials):
-        total += construct_two_type(params, rng).degrees().mean()
+        total += construct_r_type(params, rng).degrees().mean()
     expected = mean_degree(2000, 0.9, 2)
     print(f"criterion 9: empirical {total / trials:.6f} vs formula "
           f"{expected:.6f}")

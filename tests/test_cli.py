@@ -1,11 +1,14 @@
 import io
 import json
 import os
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import koutlab
 import koutlab.validate
 from koutlab.cli import load_config_file, main
 from koutlab.errors import ParameterError
@@ -402,3 +405,13 @@ def test_output_reaches_a_stdout_without_a_byte_layer(monkeypatch):
     monkeypatch.setattr(sys, "stdout", out)
     assert main(["sample", "--n", "5", "--k", "2", "--seed", "3"]) == 0
     assert out.getvalue().startswith("# sample n=5 ")
+
+
+def test_readme_python_runs_and_exports_resolve():
+    # every python block of the README runs, and no exported name is stale
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    blocks = re.findall(r"```python\n(.*?)```", readme, re.S)
+    assert blocks
+    for block in blocks:
+        exec(compile(block, "README.md", "exec"), {})
+    assert [name for name in koutlab.__all__ if not hasattr(koutlab, name)] == []

@@ -9,8 +9,9 @@ from koutlab.component_analysis import (ComponentReport, component_labels,
                                         connected_components_bfs,
                                         cut_range_implication,
                                         has_cut_in_range, is_cut)
-from koutlab.graph_model import (construct_two_type, delete_random_nodes,
+from koutlab.graph_model import (construct_r_type, delete_random_nodes,
                                  two_type_params)
+from koutlab.oracle import exhaustive_event_probability
 
 
 class HandGraph:
@@ -46,7 +47,7 @@ def test_hand_built_component_partition():
 def test_component_report_invariants_on_random_graphs():
     rng = np.random.default_rng(14)
     for _ in range(50):
-        g = construct_two_type(two_type_params(40, 0.7, 2), rng)
+        g = construct_r_type(two_type_params(40, 0.7, 2), rng)
         d = int(rng.integers(0, 20))
         view = delete_random_nodes(g, d, rng)[1] if d else g
         rep = connected_components(view)
@@ -58,8 +59,8 @@ def test_component_report_invariants_on_random_graphs():
 
 
 def _assert_labels_match(view, u, v):
-    # component_labels over raw arcs gives the partition that union-find
-    # finds on the view, each component labeled by its smallest node
+    # component_labels over raw arcs gives the partition that the BFS
+    # reference finds on the view, each component labeled by its smallest node
     labels = component_labels(view.n, np.asarray(u, dtype=np.int64),
                               np.asarray(v, dtype=np.int64))
     assert np.array_equal(labels[u], labels[v])
@@ -67,7 +68,7 @@ def _assert_labels_match(view, u, v):
     assert np.array_equal(labels[labels], labels)
     counts = np.bincount(labels[view.surviving()], minlength=view.n)
     sizes = tuple(sorted(counts[counts > 0].tolist(), reverse=True))
-    assert sizes == connected_components(view).component_sizes
+    assert sizes == connected_components_bfs(view).component_sizes
 
 
 @pytest.mark.parametrize("n,arcs", [
@@ -83,29 +84,48 @@ def test_component_labels_on_hand_built_arcs(n, arcs):
     _assert_labels_match(HandGraph(n, arcs), u, v)
 
 
-def test_component_labels_agree_with_union_find_on_random_graphs():
+def test_component_labels_agree_with_bfs_on_random_graphs():
     rng = np.random.default_rng(29)
     for _ in range(40):
         n = int(rng.integers(3, 120))
-        g = construct_two_type(two_type_params(n, 0.8, 2), rng)
+        g = construct_r_type(two_type_params(n, 0.8, 2), rng)
         d = int(rng.integers(0, n))
         view = delete_random_nodes(g, d, rng)[1] if d else g
         _assert_labels_match(view, *view.edge_arrays())
 
 
-def test_union_find_agrees_with_bfs():
+def test_connected_components_agree_with_bfs():
     rng = np.random.default_rng(21)
     for _ in range(100):
-        g = construct_two_type(two_type_params(35, 0.8, 2), rng)
+        g = construct_r_type(two_type_params(35, 0.8, 2), rng)
         d = int(rng.integers(0, 12))
         view = delete_random_nodes(g, d, rng)[1] if d else g
         assert connected_components(view) == connected_components_bfs(view)
+
+
+@pytest.mark.parametrize("d", [0, 1])
+def test_enumerated_sizes_match_the_labeler(d):
+    # every edge signature at n=5, and every deletion set: the enumerator's
+    # breadth-first sizes against component_labels on the same edges
+    checked = 0
+
+    def probe(g):
+        nonlocal checked
+        view = HandGraph(g.n, g.edges, deleted=g.deleted)
+        assert g.component_sizes == connected_components(view).component_sizes
+        checked += 1
+        return True
+
+    exhaustive_event_probability(5, 0.5, 2, d, probe)
+    assert checked > 0
 
 
 def test_empty_view_is_rejected():
     g = HandGraph(3, [], deleted=(0, 1, 2))
     with pytest.raises(ParameterError):
         connected_components(g)
+    with pytest.raises(ParameterError):
+        connected_components_bfs(g)
 
 
 def test_is_cut_on_hand_graph():
@@ -133,7 +153,7 @@ def test_is_cut_validates_subset():
 
 def test_cut_complement_symmetry_on_random_subsets():
     rng = np.random.default_rng(33)
-    g = construct_two_type(two_type_params(24, 0.6, 2), rng)
+    g = construct_r_type(two_type_params(24, 0.6, 2), rng)
     nodes = list(range(24))
     for _ in range(1000):
         size = int(rng.integers(1, 24))
@@ -144,7 +164,7 @@ def test_cut_complement_symmetry_on_random_subsets():
 
 def test_whole_components_are_cuts_and_pieces_are_not():
     rng = np.random.default_rng(3)
-    g = construct_two_type(two_type_params(30, 0.9, 2), rng)
+    g = construct_r_type(two_type_params(30, 0.9, 2), rng)
     rep = connected_components(g)
     eu, ev = g.edge_arrays()
     parent = {}
@@ -203,7 +223,7 @@ def test_has_cut_in_range_matches_brute_force_enumeration():
     rng = np.random.default_rng(55)
     for _ in range(500):
         n = int(rng.integers(4, 9))
-        g = construct_two_type(two_type_params(n, 0.5, 2), rng)
+        g = construct_r_type(two_type_params(n, 0.5, 2), rng)
         d = int(rng.integers(0, n - 2))
         view = delete_random_nodes(g, d, rng)[1] if d else g
         n_eff = view.n_effective
@@ -234,7 +254,7 @@ def test_cut_range_implication_cases():
 def test_cut_range_implication_never_fails_on_random_graphs():
     rng = np.random.default_rng(101)
     for _ in range(300):
-        g = construct_two_type(two_type_params(30, 0.5, 2), rng)
+        g = construct_r_type(two_type_params(30, 0.5, 2), rng)
         for x in range(1, 11):
             assert cut_range_implication(g, x).holds
 

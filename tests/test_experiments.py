@@ -6,12 +6,12 @@ import pytest
 
 from koutlab import ParameterError
 from koutlab import experiments
-from koutlab.component_analysis import connected_components
+from koutlab.component_analysis import connected_components, connected_components_bfs
 from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
                                  run_sweep, trial_keys, trial_stream)
-from koutlab.graph_model import (GraphParams, construct_r_type, construct_two_type,
+from koutlab.graph_model import (GraphParams, construct_r_type,
                                  delete_random_nodes, two_type_params)
 
 
@@ -48,13 +48,13 @@ def test_collect_cmax_is_schedule_independent():
 
 
 def _per_trial_cmax(params, d, trials, seed, point_index=0):
-    # the reference: one graph and one union-find per trial
+    # the reference: one graph and one breadth-first search per trial
     out = []
     for t in range(trials):
         rng = trial_stream(seed, point_index, t)
         g = construct_r_type(params, rng)
         view = delete_random_nodes(g, d, rng)[1] if d else g
-        out.append(connected_components(view).cmax)
+        out.append(connected_components_bfs(view).cmax)
     return np.array(out)
 
 
@@ -122,6 +122,9 @@ def test_negative_seeds_are_rejected():
         collect_cmax(params, 0, 5, seed=-1)
     with pytest.raises(ParameterError, match="seed"):
         ExperimentConfig(sweep_param="mu", sweep_values=(0.5,), n=30, k=2, seed=-1)
+    target = GraphParams(n=20, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
+    with pytest.raises(ParameterError, match="seed must be a non-negative integer"):
+        coupling_experiment(target, 3, seed=-1)
 
 
 class _RecordingPool:
@@ -204,7 +207,7 @@ def test_run_point_aggregates_match_trial_data():
 def test_run_point_single_trial_equals_direct_report():
     params = two_type_params(30, 0.5, 2)
     s = run_point(params, 0, 1, seed=42)
-    g = construct_two_type(params, trial_stream(42, 0, 0))
+    g = construct_r_type(params, trial_stream(42, 0, 0))
     rep = connected_components(g)
     assert s.min_cmax == s.max_cmax == rep.cmax
     assert s.avg_cmax == float(rep.cmax)

@@ -5,9 +5,8 @@ import pytest
 
 from koutlab import ParameterError
 from koutlab.graph_model import (GraphParams, assign_types, construct_r_type,
-                                 construct_two_type, couple_extend,
-                                 delete_random_nodes, two_type_params,
-                                 types_from_uniforms)
+                                 couple_extend, delete_random_nodes,
+                                 two_type_params, types_from_uniforms)
 
 
 def test_params_validation_rejects_bad_inputs():
@@ -58,19 +57,17 @@ def test_selection_sets_respect_construction_invariants():
 
 def test_adjacency_matches_selection_relation():
     params = two_type_params(40, 0.5, 3)
-    g = construct_two_type(params, np.random.default_rng(7))
+    g = construct_r_type(params, np.random.default_rng(7))
     sel = [set(g.selection_set(i).tolist()) for i in range(params.n)]
+    eu, ev = g.edge_arrays()
+    edges = set(zip(eu.tolist(), ev.tolist()))
     for i in range(params.n):
-        for j in range(params.n):
-            if i == j:
-                continue
-            expected = (j in sel[i]) or (i in sel[j])
-            assert g.has_edge(i, j) == expected
-            assert g.has_edge(j, i) == expected
+        for j in range(i + 1, params.n):
+            assert ((i, j) in edges) == ((j in sel[i]) or (i in sel[j]))
 
 
 def test_edges_are_sorted_unique_upper_pairs():
-    g = construct_two_type(two_type_params(60, 0.5, 2), np.random.default_rng(3))
+    g = construct_r_type(two_type_params(60, 0.5, 2), np.random.default_rng(3))
     eu, ev = g.edge_arrays()
     assert (eu < ev).all()
     keys = eu.astype(np.int64) * g.n + ev
@@ -80,8 +77,8 @@ def test_edges_are_sorted_unique_upper_pairs():
 
 def test_minimum_degree_is_at_least_one():
     for seed in range(20):
-        g = construct_two_type(two_type_params(30, 0.9, 2),
-                               np.random.default_rng(seed))
+        g = construct_r_type(two_type_params(30, 0.9, 2),
+                             np.random.default_rng(seed))
         assert g.degrees().min() >= 1
 
 
@@ -92,7 +89,7 @@ def test_three_nodes_with_k_two_is_always_connected():
 
     params = two_type_params(3, 0.5, 2)
     for seed in range(30):
-        g = construct_two_type(params, np.random.default_rng(seed))
+        g = construct_r_type(params, np.random.default_rng(seed))
         assert connected_components(g).cmax == 3
 
 
@@ -164,7 +161,7 @@ def test_selection_probability_matches_mean_over_ordered_pairs():
     hits = 0
     rng = np.random.default_rng(42)
     for _ in range(draws):
-        g = construct_two_type(params, rng)
+        g = construct_r_type(params, rng)
         hits += sum(len(g.selection_set(i)) for i in range(n))
     pairs = draws * n * (n - 1)
     sigma = math.sqrt(p * (1 - p) / pairs)
@@ -178,30 +175,16 @@ def test_fixed_pair_adjacency_probability():
     p = 2 * q - q * q
     trials = 100_000
     rng = np.random.default_rng(5)
-    hits = sum(construct_two_type(params, rng).has_edge(0, 1)
-               for _ in range(trials))
+    hits = 0
+    for _ in range(trials):
+        g = construct_r_type(params, rng)
+        hits += 1 in g.selection_set(0) or 0 in g.selection_set(1)
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 4 * sigma
 
 
-def test_two_class_construction_is_the_r2_special_case():
-    params = two_type_params(100, 0.4, 3)
-    a = construct_two_type(params, np.random.default_rng(123))
-    b = construct_r_type(params, np.random.default_rng(123))
-    assert np.array_equal(a.node_types, b.node_types)
-    assert np.array_equal(a.sel_flat, b.sel_flat)
-    assert np.array_equal(a.sel_indptr, b.sel_indptr)
-
-
-def test_construct_two_type_rejects_wider_mixtures():
-    params = GraphParams(n=20, type_probs=(0.5, 0.3, 0.2),
-                         type_selections=(1, 2, 4))
-    with pytest.raises(ParameterError):
-        construct_two_type(params, np.random.default_rng(0))
-
-
 def test_deletion_of_zero_nodes_is_identity():
-    g = construct_two_type(two_type_params(25, 0.5, 2), np.random.default_rng(9))
+    g = construct_r_type(two_type_params(25, 0.5, 2), np.random.default_rng(9))
     spec, view = delete_random_nodes(g, 0, np.random.default_rng(1))
     assert spec.d == 0 and spec.nodes == ()
     assert view.n_effective == g.n
@@ -210,7 +193,7 @@ def test_deletion_of_zero_nodes_is_identity():
 
 
 def test_deletion_leaves_single_survivor_at_maximum_d():
-    g = construct_two_type(two_type_params(12, 0.5, 2), np.random.default_rng(2))
+    g = construct_r_type(two_type_params(12, 0.5, 2), np.random.default_rng(2))
     spec, view = delete_random_nodes(g, 11, np.random.default_rng(4))
     assert view.n_effective == 1
     assert view.surviving().size == 1
@@ -220,7 +203,7 @@ def test_deletion_leaves_single_survivor_at_maximum_d():
 
 
 def test_deletion_validates_range_and_keeps_base_intact():
-    g = construct_two_type(two_type_params(10, 0.5, 2), np.random.default_rng(6))
+    g = construct_r_type(two_type_params(10, 0.5, 2), np.random.default_rng(6))
     before = g.edge_count
     with pytest.raises(ParameterError):
         delete_random_nodes(g, 10, np.random.default_rng(0))
@@ -243,7 +226,7 @@ def test_coupling_output_contains_base_edges():
     base = GraphParams(n=200, type_probs=(0.8, 0.2), type_selections=(1, 4))
     for seed in range(30):
         rng = np.random.default_rng(seed)
-        g2 = construct_two_type(base, rng)
+        g2 = construct_r_type(base, rng)
         ext = couple_extend(g2, target, rng)
         bu, bv = g2.edge_arrays()
         base_edges = set(zip(bu.tolist(), bv.tolist()))
@@ -260,7 +243,7 @@ def test_coupling_output_contains_base_edges():
 def test_coupling_with_two_class_target_is_identity():
     base = GraphParams(n=50, type_probs=(0.7, 0.3), type_selections=(1, 3))
     rng = np.random.default_rng(8)
-    g2 = construct_two_type(base, rng)
+    g2 = construct_r_type(base, rng)
     assert couple_extend(g2, base, rng) is g2
 
 
@@ -271,9 +254,9 @@ def test_coupling_rejects_mismatched_base():
     wrong_k = GraphParams(n=50, type_probs=(0.8, 0.2), type_selections=(1, 3))
     rng = np.random.default_rng(0)
     with pytest.raises(ParameterError):
-        couple_extend(construct_two_type(wrong_mix, rng), target, rng)
+        couple_extend(construct_r_type(wrong_mix, rng), target, rng)
     with pytest.raises(ParameterError):
-        couple_extend(construct_two_type(wrong_k, rng), target, rng)
+        couple_extend(construct_r_type(wrong_k, rng), target, rng)
 
 
 def test_coupling_reproduces_target_type_frequencies():
@@ -282,7 +265,7 @@ def test_coupling_reproduces_target_type_frequencies():
                          type_selections=(1, 2, 4))
     base = GraphParams(n=n, type_probs=(0.8, 0.2), type_selections=(1, 4))
     rng = np.random.default_rng(77)
-    g2 = construct_two_type(base, rng)
+    g2 = construct_r_type(base, rng)
     ext = couple_extend(g2, target, rng)
     counts = np.bincount(ext.node_types, minlength=3) / n
     for got, want in zip(counts, target.type_probs):

@@ -4,9 +4,8 @@ import numpy as np
 import pytest
 
 from koutlab import ParameterError
-from koutlab.component_analysis import connected_components
-from koutlab.experiments import trial_stream
-from koutlab.graph_model import construct_two_type, two_type_params
+from koutlab.experiments import collect_cmax
+from koutlab.graph_model import two_type_params
 from koutlab.oracle import (EnumeratedRealization, exact_cut_probability,
                             exact_cut_probability_deleted,
                             exhaustive_event_probability, union_bound_sum,
@@ -307,11 +306,7 @@ def test_enumeration_matches_monte_carlo_on_giant_event():
     p_exact = exhaustive_event_probability(
         n, mu, k, 0, lambda g: g.cmax >= n - 1)
     trials = 150_000
-    params = two_type_params(n, mu, k)
-    rng = trial_stream(2024, 0, 0)
-    hits = 0
-    for _ in range(trials):
-        g = construct_two_type(params, rng)
-        hits += connected_components(g).cmax >= n - 1
+    cm = collect_cmax(two_type_params(n, mu, k), 0, trials, 2024)
+    hits = int((cm >= n - 1).sum())
     sigma = math.sqrt(p_exact * (1 - p_exact) / trials)
     assert abs(hits / trials - p_exact) < 4 * sigma
