@@ -164,8 +164,8 @@ def heuristic_giant_lower_bound(n, mu, k, d) -> int:
     noise so exact-integer inputs round predictably.
     """
     n, d = int(n), int(d)
-    if d < 0:
-        raise ParameterError("deletion count must be nonnegative")
+    if not 0 <= d < n:
+        raise ParameterError("need 0 <= d < n")
     rate = mean_selections(mu, k) - 1.0
     return max(0, ceil(n - d - d / rate - 1e-9))
 

@@ -18,6 +18,7 @@ import math
 import os
 import secrets
 import sys
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -30,16 +31,6 @@ from .graph_model import GraphParams, construct_r_type, delete_random_nodes, two
 _CONFIG_KEYS = {
     "sweep_param", "sweep_values", "n", "mu", "k", "d", "trials", "seed",
     "out", "overlays", "overlay_m", "overlay_x", "overlay_eps", "format",
-}
-
-_BOUND_KINDS = {
-    "tail": "tail", "t1": "tail",
-    "deleted-tail": "deleted-tail", "t2": "deleted-tail",
-    "deleted-tail-alt": "deleted-tail-alt", "alt": "deleted-tail-alt",
-    "r-class": "r-class", "rclass": "r-class",
-    "er": "er",
-    "heuristic": "heuristic",
-    "mean-degree": "mean-degree",
 }
 
 
@@ -261,88 +252,80 @@ def _finite_or_none(v):
     return v if math.isfinite(v) else None
 
 
-def _bound_rows(args, kind):
-    if kind == "tail":
-        if args.m is None:
-            raise ParameterError("--m is required for the tail bound")
-        rows = [(("M", m), bounds.tail_bound(args.mu, args.k, m)) for m in args.m]
-    elif kind == "deleted-tail":
-        if args.x is None:
-            raise ParameterError("--x is required for the deleted tail bound")
-        rows = [(("x", x), bounds.deleted_tail_bound(args.mu, args.k, args.d, x, args.eps))
-                for x in args.x]
-    elif kind == "deleted-tail-alt":
-        if args.x is None:
-            raise ParameterError("--x is required for the single-tail deleted bound")
-        rows = [(("x", x), bounds.deleted_tail_bound_alt(args.mu, args.d, x, args.eps))
-                for x in args.x]
-    elif kind == "r-class":
-        if args.mu_vec is None or args.k_vec is None:
-            raise ParameterError("--mu-vec and --k-vec are required for the r-class bound")
-        if args.m is None:
-            raise ParameterError("--m is required for the r-class bound")
-        probs = _vec(args.mu_vec, float, "--mu-vec")
-        sels = _vec(args.k_vec, int, "--k-vec")
-        rows = [(("M", m), bounds.r_class_tail_bound(probs, sels, m)) for m in args.m]
-    else:
-        raise ParameterError(f"unhandled bound kind {kind!r}")
-    return rows
+def _tail_table(label, bound):
+    """evaluate() of an asymptotic bound taken at each tail start of --m or --x."""
+    def evaluate(kind, a):
+        rows = [(start, bound(a, start)) for start in getattr(a, label.lower())]
+        first = rows[0][1]
+        lines = [f"kind={kind} " + " ".join(
+            f"{key}={_num(val)}" for key, val in first.inputs.items() if key not in ("M", "x"))]
+        lines += [f"{label}={start}  value={b.value!r}" for start, b in rows]
+        lines.append("notes: " + "; ".join(first.regime_notes))
+        payload = {
+            "kind": kind,
+            "inputs": first.inputs,
+            "regime_notes": list(first.regime_notes),
+            "rows": [{label: start, "value": b.value, "components": b.components}
+                     for start, b in rows],
+        }
+        return "\n".join(lines), json.dumps(payload, indent=2, sort_keys=True)
+    return evaluate
+
+
+def _er(kind, a):
+    beta = bounds.er_giant_fraction(a.c)
+    # unlike the other kinds, er's JSON keys print in insertion order
+    return (f"er giant-component fraction: c={_num(a.c)} beta={beta:.10f}",
+            json.dumps({"kind": kind, "c": a.c, "beta": beta}))
+
+
+def _heuristic(kind, a):
+    value = bounds.heuristic_giant_lower_bound(a.n, a.mu, a.k, a.d)
+    payload = {"kind": kind, "n": a.n, "mu": a.mu, "K": a.k, "d": a.d, "value": value,
+               "heuristic": True}
+    return (f"heuristic giant-size floor (not a proved bound): {value}",
+            json.dumps(payload, sort_keys=True))
+
+
+def _mean_degree(kind, a):
+    value = bounds.mean_degree(a.n, a.mu, a.k)
+    payload = {"kind": kind, "n": a.n, "mu": a.mu, "K": a.k, "value": value}
+    return f"mean degree: {value!r}", json.dumps(payload, sort_keys=True)
+
+
+class _BoundKind(NamedTuple):
+    aliases: tuple
+    requires: tuple  # flags that must be given, checked in this order
+    evaluate: Callable  # (kind, args) -> (text, json), each printed with a newline
+
+
+_BOUND_KINDS = {
+    "tail": _BoundKind(("t1",), ("--m",), _tail_table(
+        "M", lambda a, m: bounds.tail_bound(a.mu, a.k, m))),
+    "deleted-tail": _BoundKind(("t2",), ("--x",), _tail_table(
+        "x", lambda a, x: bounds.deleted_tail_bound(a.mu, a.k, a.d, x, a.eps))),
+    "deleted-tail-alt": _BoundKind(("alt",), ("--x",), _tail_table(
+        "x", lambda a, x: bounds.deleted_tail_bound_alt(a.mu, a.d, x, a.eps))),
+    "r-class": _BoundKind(("rclass",), ("--mu-vec", "--k-vec", "--m"), _tail_table(
+        "M", lambda a, m: bounds.r_class_tail_bound(
+            _vec(a.mu_vec, float, "--mu-vec"), _vec(a.k_vec, int, "--k-vec"), m))),
+    "er": _BoundKind((), ("--c",), _er),
+    "heuristic": _BoundKind((), ("--n",), _heuristic),
+    "mean-degree": _BoundKind((), ("--n",), _mean_degree),
+}
 
 
 def cmd_bounds(args) -> int:
-    kind = _BOUND_KINDS.get(args.kind)
+    kind = next((name for name, spec in _BOUND_KINDS.items()
+                 if args.kind in (name, *spec.aliases)), None)
     if kind is None:
         raise ParameterError(f"unknown bound kind {args.kind!r}")
-    if kind == "er":
-        if args.c is None:
-            raise ParameterError("--c is required for the er comparison")
-        beta = bounds.er_giant_fraction(args.c)
-        if args.format == "json":
-            _emit(json.dumps({"kind": "er", "c": args.c, "beta": beta}) + "\n", args.out)
-        else:
-            _emit(f"er giant-component fraction: c={_num(args.c)} beta={beta:.10f}\n", args.out)
-        return 0
-    if kind == "heuristic":
-        if args.n is None:
-            raise ParameterError("--n is required for the heuristic bound")
-        value = bounds.heuristic_giant_lower_bound(args.n, args.mu, args.k, args.d)
-        if args.format == "json":
-            payload = {"kind": "heuristic", "n": args.n, "mu": args.mu, "K": args.k,
-                       "d": args.d, "value": value, "heuristic": True}
-            _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-        else:
-            _emit(f"heuristic giant-size floor (not a proved bound): {value}\n", args.out)
-        return 0
-    if kind == "mean-degree":
-        if args.n is None:
-            raise ParameterError("--n is required for the mean degree")
-        value = bounds.mean_degree(args.n, args.mu, args.k)
-        if args.format == "json":
-            payload = {"kind": "mean-degree", "n": args.n, "mu": args.mu,
-                       "K": args.k, "value": value}
-            _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-        else:
-            _emit(f"mean degree: {value!r}\n", args.out)
-        return 0
-
-    rows = _bound_rows(args, kind)
-    if args.format == "json":
-        payload = {
-            "kind": kind,
-            "inputs": rows[0][1].inputs,
-            "regime_notes": list(rows[0][1].regime_notes),
-            "rows": [{label: value, "value": b.value, "components": b.components}
-                     for (label, value), b in rows],
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
-    else:
-        lines = [f"kind={kind} " + " ".join(
-            f"{key}={_num(val)}" for key, val in rows[0][1].inputs.items()
-            if key not in ("M", "x"))]
-        for (label, value), b in rows:
-            lines.append(f"{label}={value}  value={b.value!r}")
-        lines.append("notes: " + "; ".join(rows[0][1].regime_notes))
-        _emit("\n".join(lines) + "\n", args.out)
+    spec = _BOUND_KINDS[kind]
+    for flag in spec.requires:
+        if getattr(args, flag[2:].replace("-", "_")) is None:
+            raise ParameterError(f"{flag} is required for --kind {kind}")
+    text, json_text = spec.evaluate(kind, args)
+    _emit((json_text if args.format == "json" else text) + "\n", args.out)
     return 0
 
 
@@ -371,6 +354,8 @@ def cmd_oracle(args) -> int:
             _emit(f"{desc} [{args.mode}]: {value!r}\n", args.out)
         return 0
     if args.m is not None:
+        if args.d:
+            raise ParameterError("--m takes no --d; use --x for the deleted union bound")
         ev = oracle.union_bound_sum(args.n, args.mu, args.k, args.m, mode=args.mode)
         label, low = "M", args.m
     else:
@@ -460,8 +445,8 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = subs.add_parser("bounds", help="closed-form bound tables")
     bnd.add_argument("--kind", required=True,
-                     help="tail|deleted-tail|deleted-tail-alt|r-class|er|heuristic|mean-degree "
-                          "(aliases: t1, t2, alt, rclass)")
+                     help="|".join(_BOUND_KINDS) + " (aliases: " + ", ".join(
+                         alias for spec in _BOUND_KINDS.values() for alias in spec.aliases) + ")")
     _add_common_model_flags(bnd)
     bnd.add_argument("--m", type=int, nargs="+", default=None,
                      help="tail start(s) M for tail / r-class bounds")

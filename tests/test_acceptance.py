@@ -1,77 +1,40 @@
 """Acceptance gate: ten end-to-end criteria, one test each.
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line
-per criterion.  Each test prints its measured figures; tolerances and
-runtime caps are asserted inline.
+per criterion.  Each test prints its measured figures and asserts its
+runtime cap.  Criteria 1, 2, 6, 7 and 8 run the check functions of
+koutlab.validate, which hold their tolerances; the quick validate
+suites run the same checks at smaller sizes.
 """
 
-import math
 import time
-from itertools import combinations
 
-import numpy as np
-
-from koutlab.bounds import (er_giant_fraction, heuristic_giant_lower_bound,
-                            mean_degree)
-from koutlab.component_analysis import (connected_components,
-                                        cut_range_implication)
-from koutlab.experiments import (ExperimentConfig, collect_cmax,
-                                 coupling_experiment, run_point, run_sweep,
+from koutlab.bounds import heuristic_giant_lower_bound, mean_degree
+from koutlab.experiments import (ExperimentConfig, run_point, run_sweep,
                                  trial_stream)
-from koutlab.graph_model import GraphParams, construct_r_type, two_type_params
-from koutlab.oracle import (exact_cut_probability,
-                            exact_cut_probability_deleted,
-                            exhaustive_event_probability, union_bound_sum)
+from koutlab.graph_model import construct_r_type, two_type_params
+from koutlab.validate import (check_coupling, check_cut_implication,
+                              check_er_fixed_point, check_oracle_agreement,
+                              check_union_bound_soundness)
 
 SEED = 20240819
 
 
 def test_c01_oracle_exactness_against_enumeration():
     t0 = time.perf_counter()
-    worst = 0.0
-    cases = 0
-    for n in (4, 5, 6):
-        for k in (2, 3):
-            if k >= n:
-                continue
-            for mu in (0.25, 0.5, 0.75):
-                for d in (0, 1):
-                    for r in range(1, n - d):
-                        subset = frozenset(range(r))
-                        if d == 0:
-                            enum = exhaustive_event_probability(
-                                n, mu, k, 0, lambda g: g.is_cut(subset))
-                            closed = exact_cut_probability(n, mu, k, r)
-                        else:
-                            joint = exhaustive_event_probability(
-                                n, mu, k, d,
-                                lambda g: not (subset & g.deleted)
-                                and g.is_cut(subset))
-                            enum = joint * math.comb(n, d) / math.comb(n - r, d)
-                            closed = exact_cut_probability_deleted(
-                                n, mu, k, d, r)
-                        worst = max(worst, abs(closed - enum))
-                        cases += 1
+    result = check_oracle_agreement(mus=(0.25, 0.5, 0.75))
     elapsed = time.perf_counter() - t0
-    print(f"criterion 1: {cases} grid points, worst |closed - enum| = "
-          f"{worst:.3e}, {elapsed:.1f}s")
-    assert worst <= 1e-12
+    print(f"criterion 1: {result.detail}, {elapsed:.1f}s")
+    assert result.passed
     assert elapsed < 60.0
 
 
 def test_c02_cut_range_implication_holds_everywhere():
     t0 = time.perf_counter()
-    params = two_type_params(30, 0.5, 2)
-    violations = 0
-    for t in range(10_000):
-        g = construct_r_type(params, trial_stream(SEED, 1, t))
-        for x in range(1, 11):
-            if not cut_range_implication(g, x).holds:
-                violations += 1
+    result = check_cut_implication(graphs=10_000, seed=SEED, point=1)
     elapsed = time.perf_counter() - t0
-    print(f"criterion 2: 10000 graphs x 10 thresholds, {violations} "
-          f"violations, {elapsed:.1f}s")
-    assert violations == 0
+    print(f"criterion 2: {result.detail}, {elapsed:.1f}s")
+    assert result.passed
     assert elapsed < 30.0
 
 
@@ -123,45 +86,26 @@ def test_c05_deleted_minimum_stays_above_heuristic_floor():
 
 
 def test_c06_er_fixed_point_value():
-    beta = er_giant_fraction(2.2)
-    residual = abs(beta + math.exp(-beta * 2.2) - 1.0)
-    print(f"criterion 6: beta(2.2) = {beta:.6f}, residual = {residual:.2e}")
-    assert abs(beta - 0.8437) <= 5e-4
-    assert residual < 1e-10
+    result = check_er_fixed_point()
+    print(f"criterion 6: {result.detail}")
+    assert result.passed
 
 
 def test_c07_union_bound_dominates_empirical_tail():
     t0 = time.perf_counter()
-    n, mu, k = 30, 0.5, 2
-    trials = 1_000_000
-    cm = collect_cmax(two_type_params(n, mu, k), 0, trials, seed=SEED,
-                      point_index=7, workers=1)
-    rows = []
-    for m in range(2, 9):
-        p_hat = float((cm <= n - m).mean())
-        bound = union_bound_sum(n, mu, k, m).value
-        sigma = math.sqrt(max(p_hat * (1 - p_hat), 0.0) / trials)
-        rows.append((m, p_hat, bound, sigma))
+    result = check_union_bound_soundness(trials=1_000_000, seed=SEED, point=7)
     elapsed = time.perf_counter() - t0
-    print("criterion 7: " + ", ".join(
-        f"M={m}: {p:.2e} <= {b:.2e}+4*{s:.1e}" for m, p, b, s in rows)
-        + f", {elapsed:.1f}s")
-    for m, p_hat, bound, sigma in rows:
-        assert p_hat <= bound + 4 * sigma
+    print(f"criterion 7: {result.detail}, {elapsed:.1f}s")
+    assert result.passed
     assert elapsed < 180.0
 
 
 def test_c08_coupling_produces_no_violations():
     t0 = time.perf_counter()
-    target = GraphParams(n=500, type_probs=(0.5, 0.3, 0.2),
-                         type_selections=(1, 2, 4))
-    report = coupling_experiment(target, 10_000, seed=SEED)
+    result = check_coupling(n=500, pairs=10_000, seed=SEED)
     elapsed = time.perf_counter() - t0
-    print(f"criterion 8: {report.trials} coupled pairs, "
-          f"{report.edge_superset_violations} edge violations, "
-          f"{report.cmax_violations} cmax violations, {elapsed:.1f}s")
-    assert report.edge_superset_violations == 0
-    assert report.cmax_violations == 0
+    print(f"criterion 8: {result.detail}, {elapsed:.1f}s")
+    assert result.passed
     assert elapsed < 60.0
 
 

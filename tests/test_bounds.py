@@ -111,6 +111,9 @@ def test_heuristic_floor_values():
     assert heuristic_giant_lower_bound(5000, 0.9, 2, 70) == 4230
     assert heuristic_giant_lower_bound(500, 0.5, 2, 0) == 500
     assert heuristic_giant_lower_bound(100, 0.9, 2, 60) == 0  # clamped
+    for n, d in ((10, 20), (10, 10), (-5, 3), (0, 0), (10, -1)):
+        with pytest.raises(ParameterError, match=r"need 0 <= d < n"):
+            heuristic_giant_lower_bound(n, 0.9, 2, d)
 
 
 def test_er_fixed_point():

@@ -1,3 +1,4 @@
+import hashlib
 import io
 import json
 import os
@@ -274,6 +275,60 @@ def test_bounds_unknown_kind(capsys):
     assert code == 2
 
 
+def test_bounds_heuristic_rejects_deletions_outside_the_graph(capsys):
+    for n, d in (("10", "20"), ("10", "10"), ("-5", "3")):
+        code, out, err = run_cli(capsys, "bounds", "--kind", "heuristic",
+                                 "--n", n, "--d", d)
+        assert code == 2 and out == ""
+        assert "need 0 <= d < n" in err
+
+
+# sha256 of `koutlab bounds` stdout for every canonical kind and the t1 and
+# rclass aliases, recorded from the hand-written renderer the kind table
+# replaced
+_BOUNDS_STDOUT_HASHES = [
+    (["--kind", "tail", "--mu", "0.9", "--k", "2", "--m", "10", "60"],
+     "23c9bb87879b25ccc8884718007ddaccc18ebd5e2a2ee6e2b0a02b4ec4172fe1",
+     "9e7f0d550d0c574086e03c22fc954f65a9873a5f0394404caf761f20daba68cb"),
+    (["--kind", "t1", "--mu", "0.5", "--k", "3", "--m", "5"],
+     "c1c18c9dc25bc6335cd540b6a0fc6635d73e961e9a70b430cac345f34c8603f9",
+     "759d1d075cc0b4164a99d05943846325a58b1242697a77aea75242fbb600b234"),
+    (["--kind", "deleted-tail", "--mu", "0.9", "--k", "2", "--d", "20", "--eps", "1",
+      "--x", "401", "500"],
+     "6f9351ab530c4dab7ad26d07b8044e83b43f75afa54fe93b81e5c4135bc45656",
+     "9661dd003472b0b9c3f6e4293b52bc6695c9c1f9f87e8bddf669b55b16495bf7"),
+    (["--kind", "deleted-tail-alt", "--mu", "0.5", "--d", "10", "--eps", "1",
+      "--x", "45", "60"],
+     "9797458d23672f64b0db33ef7c2033b046e8809460c4933d77d827aaf7ee219e",
+     "84e615a512092747b9efcbf78a0312b2d328d1f951ce8e3f1e9332f567b19939"),
+    (["--kind", "r-class", "--mu-vec", "0.5,0.3,0.2", "--k-vec", "1,2,4",
+      "--m", "10", "20"],
+     "ade6720da1695169c16393ed2e72809fb98c9aa4a6d79ef88f0fb009f3af226a",
+     "bff69bd58623458940b90f77febb12dfa41836b44f4f7c06b63883c51045c6be"),
+    (["--kind", "rclass", "--mu-vec", "0.4,0.6", "--k-vec", "1,3", "--m", "7"],
+     "8e43fad218ee53a4f5ddd14e42f9e4da34432cda059bbcee9b1c8527abb2aad5",
+     "164ba3aa3c047ba920a2f2ebcc22f4dca99cdc7f21dabb5fa812b18dc728c128"),
+    (["--kind", "er", "--c", "2.2"],
+     "67a57ce20d143ff4ed640a49a4f67ba8c227b43df3be0dad66c85f1879c0c2de",
+     "e6ce9d94e9294ecf5fa14eac74f89cb43a1d9f1860937831409fabadcd67ce2d"),
+    (["--kind", "heuristic", "--n", "1000", "--mu", "0.9", "--k", "2", "--d", "20"],
+     "af44715783b34bdcac4af6b0f9e9ed92b63aa8a38295447d7fffa7284b1f3d4e",
+     "3558e6a683bcf6f337bfbab254179e40186832ff7626fc9e1bd3db870d37d373"),
+    (["--kind", "mean-degree", "--n", "2000", "--mu", "0.9", "--k", "2"],
+     "da578106646e9976dc36fdc31dff42413feb3bf7fca65e795601c2f0597ff333",
+     "f383d64b35e8fab1cebdb188a32c02eb8c4fd0a9db102db27766c0bc928a59b6"),
+]
+
+
+@pytest.mark.parametrize("argv, text_sha, json_sha", _BOUNDS_STDOUT_HASHES,
+                         ids=[case[0][1] for case in _BOUNDS_STDOUT_HASHES])
+def test_bounds_stdout_bytes_are_pinned(capsys, argv, text_sha, json_sha):
+    for fmt, sha in (("text", text_sha), ("json", json_sha)):
+        code, out, err = run_cli(capsys, "bounds", *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, out
+
+
 def test_oracle_cut_probability(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "5", "--mu", "0.5",
                            "--k", "2", "--r", "2")
@@ -298,6 +353,14 @@ def test_oracle_requires_exactly_one_query(capsys):
     code, _, err = run_cli(capsys, "oracle", "--n", "30", "--r", "2",
                            "--m", "2")
     assert code == 2
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_oracle_union_bound_rejects_deletions(capsys, fmt):
+    code, out, err = run_cli(capsys, "oracle", "--n", "100", "--m", "5", "--d", "10",
+                             "--format", fmt)
+    assert code == 2 and out == ""
+    assert "--m takes no --d" in err and "--x" in err
 
 
 def test_oracle_direct_mode_overflow_exits_two(capsys):
@@ -348,6 +411,20 @@ def test_validate_pass_exits_zero(capsys, monkeypatch):
     assert code == 0
     assert "PASS stub" in out
     assert "FLAG stub: note" in out
+
+
+def test_validate_quick_runs_every_suite(capsys):
+    code, out, _ = run_cli(capsys, "validate", "--level", "quick")
+    assert code == 0
+    passed = [line.split(":")[0] for line in out.splitlines()
+              if line.startswith("PASS ")]
+    assert passed == [
+        "PASS oracle-agreement", "PASS cut-range-implication",
+        "PASS coupling-monotonicity", "PASS dual-component-algorithms",
+        "PASS er-fixed-point", "PASS geometric-ratios",
+        "PASS log-vs-direct-arithmetic", "PASS union-bound-soundness",
+    ]
+    assert "8/8 suites passed (quick)" in out
 
 
 def test_validate_rejects_unknown_level():
