@@ -13,7 +13,7 @@ mean selection count <K> = mu + (1-mu)K, and <K> - 1 = (1-mu)(K-1) > 0.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from math import ceil, exp
+from math import ceil, exp, inf
 
 from .errors import ParameterError
 from .graph_model import validate_type_distribution
@@ -79,8 +79,8 @@ def deleted_tail_bound(mu, k, d, x, eps=1.0) -> AsymptoticBound:
     """
     d, x = int(d), int(x)
     eps = float(eps)
-    if eps <= 0.0:
-        raise ParameterError("need eps > 0")
+    if not 0.0 < eps < inf:
+        raise ParameterError("need 0 < eps < inf")
     if d < 0:
         raise ParameterError("deletion count must be nonnegative")
     if x < 1:
@@ -114,8 +114,8 @@ def deleted_tail_bound_alt(mu, d, x, eps=1.0) -> AsymptoticBound:
     eps = float(eps)
     if not 0.0 < mu < 1.0:
         raise ParameterError("mu must lie strictly inside (0, 1)")
-    if eps <= 0.0:
-        raise ParameterError("need eps > 0")
+    if not 0.0 < eps < inf:
+        raise ParameterError("need 0 < eps < inf")
     if d < 0:
         raise ParameterError("deletion count must be nonnegative")
     if x < 1:
@@ -171,15 +171,15 @@ def heuristic_giant_lower_bound(n, mu, k, d) -> int:
 
 
 def er_giant_fraction(c) -> float:
-    """The unique beta in (0, 1] with beta + e^{-beta*c} = 1, for c > 1.
+    """The unique beta in (0, 1] with beta + e^{-beta*c} = 1, for finite c > 1.
 
     This is the classical giant-component fraction of a random graph
     with mean degree c; beta = 0 always solves the equation, so the
     bisection bracket starts just above it.
     """
     c = float(c)
-    if c <= 1.0:
-        raise ParameterError("no positive solution exists for c <= 1")
+    if not 1.0 < c < inf:
+        raise ParameterError("need 1 < c < inf; no positive solution exists for c <= 1")
 
     def f(b):
         return b + exp(-b * c) - 1.0

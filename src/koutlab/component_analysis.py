@@ -2,10 +2,13 @@
 
 Functions here accept any graph view exposing n, n_effective,
 surviving() and edge_arrays(); both KoutGraph and InducedSubgraph
-qualify.  A cut is a nonempty proper subset of the surviving nodes with
-no edge to its complement.  Every union of whole components is a cut
-and every cut is such a union, which is what makes the subset-sum
-test in has_cut_in_range exact.
+qualify.  The cut-range queries also read the view's components, its
+ComponentReport; KoutGraph and InducedSubgraph label themselves once
+and keep it, so asking one graph about many ranges labels it once.  A
+cut is a nonempty proper subset of the surviving nodes with no edge to
+its complement.  Every union of whole components is a cut and every cut
+is such a union, which is what makes the subset-sum test in
+has_cut_in_range exact.
 
 Two labelers live here.  component_labels, vectorized over raw arc
 arrays so that many graphs can be labeled in one call, sizes every
@@ -157,7 +160,7 @@ def has_cut_in_range(g, lo, hi) -> bool:
     n_eff = g.n_effective
     if not 1 <= lo <= hi <= n_eff:
         raise ParameterError("need 1 <= lo <= hi <= surviving node count")
-    sizes = connected_components(g).component_sizes
+    sizes = g.components.component_sizes
     return _sizes_reach_range(sizes, lo, hi, n_eff)
 
 
@@ -183,7 +186,7 @@ def cut_range_implication(g, x) -> CutRangeImplication:
     n_eff = g.n_effective
     if not 1 <= x <= n_eff // 3:
         raise ParameterError("need 1 <= x <= floor(surviving node count / 3)")
-    report = connected_components(g)
+    report = g.components
     no_mid_cut = not _sizes_reach_range(report.component_sizes, x, n_eff - x, n_eff)
     giant_exceeds = report.cmax > n_eff - x
     return CutRangeImplication(

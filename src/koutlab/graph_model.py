@@ -12,9 +12,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
+from math import isfinite
 
 import numpy as np
 
+from .component_analysis import ComponentReport, connected_components
 from .errors import ParameterError
 
 PROB_TOL = 1e-12
@@ -36,6 +38,8 @@ def validate_type_distribution(type_probs, type_selections):
         raise ParameterError(
             "need r >= 2 type probabilities matched with r selection counts"
         )
+    if not all(isfinite(p) for p in probs):
+        raise ParameterError("every type probability must be a finite number")
     if any(p <= 0.0 for p in probs):
         raise ParameterError("every type probability must be strictly positive")
     if abs(sum(probs) - 1.0) > PROB_TOL:
@@ -144,6 +148,11 @@ class KoutGraph:
         u, v = self._edges
         return np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
 
+    @cached_property
+    def components(self) -> ComponentReport:
+        """connected_components of the graph, labeled on first use and kept."""
+        return connected_components(self)
+
 
 @dataclass(frozen=True)
 class DeletionSpec:
@@ -190,6 +199,11 @@ class InducedSubgraph:
 
     def edge_arrays(self):
         return self._edges
+
+    @cached_property
+    def components(self) -> ComponentReport:
+        """connected_components of the survivors, labeled on first use and kept."""
+        return connected_components(self)
 
 
 # ---------------------------------------------------------------------------

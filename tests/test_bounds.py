@@ -130,6 +130,20 @@ def test_er_fixed_point():
         er_giant_fraction(0.5)
 
 
+@pytest.mark.parametrize("c", [math.nan, math.inf, -math.inf])
+def test_er_fixed_point_rejects_non_finite_c(c):
+    with pytest.raises(ParameterError, match="1 < c < inf"):
+        er_giant_fraction(c)
+
+
+@pytest.mark.parametrize("eps", [math.nan, math.inf, -math.inf])
+def test_deleted_tail_bounds_reject_non_finite_eps(eps):
+    with pytest.raises(ParameterError, match="0 < eps < inf"):
+        deleted_tail_bound(0.5, 2, 2, 50, eps=eps)
+    with pytest.raises(ParameterError, match="0 < eps < inf"):
+        deleted_tail_bound_alt(0.5, 2, 50, eps=eps)
+
+
 def test_mean_degree_formula():
     got = mean_degree(2000, 0.9, 2)
     want = 2 * 1.1 - 1.1 ** 2 / 1999

@@ -86,6 +86,13 @@ def test_sample_rejects_half_vector(capsys):
     assert "k-vec" in err
 
 
+def test_sample_rejects_non_finite_type_probability(capsys):
+    code, out, err = run_cli(capsys, "sample", "--n", "30", "--mu-vec", "nan,0.5",
+                             "--k-vec", "1,2", "--seed", "1")
+    assert code == 2 and out == ""
+    assert "finite" in err
+
+
 def test_sweep_stdout_csv(capsys):
     code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "mu",
                            "--sweep-values", "0.3,0.6", "--n", "50",
@@ -273,6 +280,21 @@ def test_bounds_json_format(capsys):
 def test_bounds_unknown_kind(capsys):
     code, _, err = run_cli(capsys, "bounds", "--kind", "nope")
     assert code == 2
+
+
+@pytest.mark.parametrize("argv, condition", [
+    (["--kind", "er", "--c", "nan"], "1 < c < inf"),
+    (["--kind", "er", "--c", "inf"], "1 < c < inf"),
+    (["--kind", "er", "--c", "nan", "--format", "json"], "1 < c < inf"),
+    (["--kind", "deleted-tail", "--mu", "0.5", "--k", "2", "--d", "2",
+      "--x", "50", "--eps", "nan"], "0 < eps < inf"),
+    (["--kind", "deleted-tail-alt", "--mu", "0.5", "--d", "2", "--x", "50",
+      "--eps", "inf"], "0 < eps < inf"),
+])
+def test_bounds_reject_non_finite_inputs(capsys, argv, condition):
+    code, out, err = run_cli(capsys, "bounds", *argv)
+    assert code == 2 and out == ""
+    assert condition in err
 
 
 def test_bounds_heuristic_rejects_deletions_outside_the_graph(capsys):

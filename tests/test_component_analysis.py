@@ -34,6 +34,10 @@ class HandGraph:
     def edge_arrays(self):
         return self._eu, self._ev
 
+    @property
+    def components(self):
+        return connected_components(self)
+
 
 def test_hand_built_component_partition():
     g = HandGraph(6, [(1, 2), (3, 4), (4, 5)])

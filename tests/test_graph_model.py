@@ -30,6 +30,13 @@ def test_params_validation_rejects_bad_inputs():
         GraphParams(n=10, type_probs=(1.0,), type_selections=(2,))
 
 
+@pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan),
+                                   (math.inf, 0.5), (0.5, -math.inf)])
+def test_params_validation_rejects_non_finite_probabilities(probs):
+    with pytest.raises(ParameterError, match="finite"):
+        GraphParams(n=30, type_probs=probs, type_selections=(1, 2))
+
+
 def test_params_accepts_probabilities_within_tolerance():
     p = GraphParams(n=10, type_probs=(0.1, 0.2, 0.7 + 1e-13),
                     type_selections=(1, 2, 3))

@@ -3,10 +3,12 @@ import math
 import numpy as np
 import pytest
 
-from koutlab import ParameterError
+from koutlab import ParameterError, oracle
 from koutlab.experiments import collect_cmax
 from koutlab.graph_model import two_type_params
-from koutlab.oracle import (EnumeratedRealization, exact_cut_probability,
+from koutlab.oracle import (_UNDERFLOW_LOG, EnumeratedRealization,
+                            _block_log_bound, _cut_kernel,
+                            exact_cut_probability,
                             exact_cut_probability_deleted,
                             exhaustive_event_probability, union_bound_sum,
                             union_bound_sum_deleted)
@@ -96,6 +98,92 @@ def test_union_bound_beyond_float64_is_inf_and_clamped():
     ev = union_bound_sum_deleted(9000, 0.5, 2, 5000, 1)
     assert ev.raw_sum == math.inf
     assert ev.value == 1.0
+
+
+def _blocks(n, d, lo):
+    hi = (n - d) // 2
+    return [np.arange(a, min(a + oracle._BLOCK, hi + 1), dtype=np.int64)
+            for a in range(lo, hi + 1, oracle._BLOCK)]
+
+
+def _unskipped_terms(n, mu, k, d, lo, mode="log"):
+    """The sum's terms with _cut_kernel run on every block: the skip's reference."""
+    parts = []
+    for r in _blocks(n, d, lo):
+        f_in, f_out, _, log_term = _cut_kernel(n, mu, k, d, r)
+        if mode == "direct":
+            binom = np.array([float(math.comb(n - d, b)) for b in r.tolist()])
+            parts.append(binom * f_in ** r * f_out ** (n - d - r))
+        else:
+            with np.errstate(over="ignore"):
+                parts.append(np.exp(log_term))
+    return np.concatenate(parts)
+
+
+def _count_evaluated_blocks(monkeypatch):
+    """Patch the sum's kernel to record the size of every call; the bound's
+    one-element calls are told apart by size."""
+    sizes = []
+
+    def counting_kernel(n, mu, k, d, r):
+        sizes.append(r.size)
+        return _cut_kernel(n, mu, k, d, r)
+
+    monkeypatch.setattr(oracle, "_cut_kernel", counting_kernel)
+    return lambda: sum(size > 1 for size in sizes)
+
+
+@pytest.mark.parametrize("n", (20_000, 30_000, 100_000))
+def test_block_log_bound_covers_every_kernel_term(n):
+    for mu in (0.1, 0.5, 0.9, 0.99):
+        for k in (2, 3, 5):
+            for d in (0, 7, 100):
+                for r in _blocks(n, d, 1):
+                    log_term = _cut_kernel(n, mu, k, d, r)[3]
+                    bound = _block_log_bound(n, mu, k, d, int(r[0]), int(r[-1]))
+                    assert bound >= log_term.max(), (mu, k, d, int(r[0]))
+
+
+# evaluated counts the blocks the kernel runs on, of 123
+@pytest.mark.parametrize("mu, k, d, lo, evaluated", [
+    (0.9, 2, 0, 1, 20),
+    (0.9, 2, 20, 80, 20),
+    (0.99, 2, 0, 1, 122),   # only the short last block is skipped
+    (0.1, 3, 0, 1, 2),
+])
+def test_skipped_blocks_leave_the_sum_bit_identical(monkeypatch, mu, k, d, lo,
+                                                    evaluated):
+    n = 1_000_000
+    ref = _unskipped_terms(n, mu, k, d, lo)
+    count = _count_evaluated_blocks(monkeypatch)
+    ev = union_bound_sum_deleted(n, mu, k, d, lo)
+    assert np.array_equal(ev.terms, ref)
+    assert ev.raw_sum == float(ref.sum())
+    assert count() == evaluated
+
+
+def test_direct_mode_skips_no_block(monkeypatch):
+    # at the real block size a direct sum overflows float64 before it
+    # spans two blocks, so narrow the blocks to see what each mode skips
+    monkeypatch.setattr(oracle, "_BLOCK", 64)
+    for args in ((1000, 0.1, 5, 0, 1), (1020, 0.1, 5, 20, 1)):
+        blocks = len(_blocks(args[0], args[3], args[4]))
+        for mode in ("direct", "log"):
+            ref = _unskipped_terms(*args, mode=mode)
+            assert (ref == 0.0).any() and (ref > 0.0).any()
+            count = _count_evaluated_blocks(monkeypatch)
+            ev = union_bound_sum_deleted(*args, mode=mode)
+            assert np.array_equal(ev.terms, ref)
+            assert ev.raw_sum == float(ref.sum())
+            if mode == "direct":
+                assert count() == blocks
+            else:
+                assert count() < blocks
+
+
+def test_underflow_threshold_is_below_exp_underflow():
+    assert np.exp(np.float64(_UNDERFLOW_LOG)) == 0.0
+    assert np.exp(np.float64(-745.0)) > 0.0
 
 
 def test_cut_probabilities_match_scalar_reference():
