@@ -34,6 +34,9 @@ class AsymptoticBound:
     components: dict = field(default_factory=dict)
 
 
+# Short names of bound kinds, for the CLI's --kind and the sweep overlays
+_KIND_ALIASES = {"t1": "tail", "t2": "deleted-tail", "alt": "deleted-tail-alt", "rclass": "r-class"}
+
 _ASYMPTOTIC_NOTES = (
     "additive o(1) term dropped",
     "(1 - o(1)) factor in the exponent dropped",

@@ -23,6 +23,7 @@ from typing import Callable, NamedTuple
 import numpy as np
 
 from . import __version__, bounds, oracle
+from .bounds import _KIND_ALIASES
 from .component_analysis import connected_components
 from .errors import ParameterError
 from .experiments import ExperimentConfig, render_csv, render_json, run_sweep
@@ -294,31 +295,29 @@ def _mean_degree(kind, a):
 
 
 class _BoundKind(NamedTuple):
-    aliases: tuple
     requires: tuple  # flags that must be given, checked in this order
     evaluate: Callable  # (kind, args) -> (text, json), each printed with a newline
 
 
 _BOUND_KINDS = {
-    "tail": _BoundKind(("t1",), ("--m",), _tail_table(
+    "tail": _BoundKind(("--m",), _tail_table(
         "M", lambda a, m: bounds.tail_bound(a.mu, a.k, m))),
-    "deleted-tail": _BoundKind(("t2",), ("--x",), _tail_table(
+    "deleted-tail": _BoundKind(("--x",), _tail_table(
         "x", lambda a, x: bounds.deleted_tail_bound(a.mu, a.k, a.d, x, a.eps))),
-    "deleted-tail-alt": _BoundKind(("alt",), ("--x",), _tail_table(
+    "deleted-tail-alt": _BoundKind(("--x",), _tail_table(
         "x", lambda a, x: bounds.deleted_tail_bound_alt(a.mu, a.d, x, a.eps))),
-    "r-class": _BoundKind(("rclass",), ("--mu-vec", "--k-vec", "--m"), _tail_table(
+    "r-class": _BoundKind(("--mu-vec", "--k-vec", "--m"), _tail_table(
         "M", lambda a, m: bounds.r_class_tail_bound(
             _vec(a.mu_vec, float, "--mu-vec"), _vec(a.k_vec, int, "--k-vec"), m))),
-    "er": _BoundKind((), ("--c",), _er),
-    "heuristic": _BoundKind((), ("--n",), _heuristic),
-    "mean-degree": _BoundKind((), ("--n",), _mean_degree),
+    "er": _BoundKind(("--c",), _er),
+    "heuristic": _BoundKind(("--n",), _heuristic),
+    "mean-degree": _BoundKind(("--n",), _mean_degree),
 }
 
 
 def cmd_bounds(args) -> int:
-    kind = next((name for name, spec in _BOUND_KINDS.items()
-                 if args.kind in (name, *spec.aliases)), None)
-    if kind is None:
+    kind = _KIND_ALIASES.get(args.kind, args.kind)
+    if kind not in _BOUND_KINDS:
         raise ParameterError(f"unknown bound kind {args.kind!r}")
     spec = _BOUND_KINDS[kind]
     for flag in spec.requires:
@@ -445,8 +444,7 @@ def build_parser() -> argparse.ArgumentParser:
 
     bnd = subs.add_parser("bounds", help="closed-form bound tables")
     bnd.add_argument("--kind", required=True,
-                     help="|".join(_BOUND_KINDS) + " (aliases: " + ", ".join(
-                         alias for spec in _BOUND_KINDS.values() for alias in spec.aliases) + ")")
+                     help="|".join(_BOUND_KINDS) + " (aliases: " + ", ".join(_KIND_ALIASES) + ")")
     _add_common_model_flags(bnd)
     bnd.add_argument("--m", type=int, nargs="+", default=None,
                      help="tail start(s) M for tail / r-class bounds")

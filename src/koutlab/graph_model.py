@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from math import isfinite
+from math import isfinite, prod
 
 import numpy as np
 
@@ -21,6 +21,7 @@ from .errors import ParameterError
 
 PROB_TOL = 1e-12
 MIX_TOL = 1e-9  # tolerance when matching a coupling's combined light-class mass
+_ROW_ACCEPT_MIN = 1e-3  # below this whole-row acceptance, draw_trial redraws single picks
 
 
 def as_generator(rng):
@@ -72,6 +73,13 @@ class GraphParams:
     @property
     def r(self) -> int:
         return len(self.type_probs)
+
+    @cached_property
+    def _fills_columns(self) -> tuple[bool, ...]:
+        """Per class, whether a row of k uniform picks, all distinct with
+        probability (n-1)!/((n-1-k)! (n-1)^k), is too rarely distinct to redraw whole."""
+        return tuple(prod(1.0 - j / (self.n - 1) for j in range(k)) < _ROW_ACCEPT_MIN
+                     for k in self.type_selections)
 
     @cached_property
     def cum_probs(self) -> np.ndarray:
@@ -250,6 +258,18 @@ def _redraw_repeats(rng, rows, n):
         bad = bad[_rows_with_repeats(redo)]
 
 
+def _distinct_columns(rng, rows, n):
+    """Make every row of raw picks distinct, in place: from column 1 on,
+    each pick that repeats an earlier one of its row is redrawn until it
+    does not.  Rows end uniform over the k-subsets, as with _redraw_repeats,
+    and no pick needs more than n-1 redraws in expectation."""
+    for j in range(1, rows.shape[1]):
+        bad = (rows[:, :j] == rows[:, j:j + 1]).any(axis=1).nonzero()[0]
+        while bad.size:
+            rows[bad, j] = rng.integers(0, n - 1, size=bad.size)
+            bad = bad[(rows[bad, :j] == rows[bad, j:j + 1]).any(axis=1)]
+
+
 def draw_trial(params: GraphParams, rng):
     """One graph's randomness, drawn from rng in the order every sampler uses.
 
@@ -262,6 +282,8 @@ def draw_trial(params: GraphParams, rng):
     class 0 can make single picks; they never repeat, so they are drawn
     by the same integers call as class 1's, which draws the same numbers
     as two calls because calls with one bound consume the stream in turn.
+    A class whose whole rows are rarely distinct (GraphParams._fills_columns)
+    redraws single picks instead (_distinct_columns).
     """
     n, ks = params.n, params.type_selections
     x = rng.random(n)
@@ -276,7 +298,8 @@ def draw_trial(params: GraphParams, rng):
         if joint and t == 1:
             blocks.append(raw[:lead])
             raw = raw[lead:]
-        _redraw_repeats(rng, raw.reshape(-1, ks[t]), n)
+        redraw = _distinct_columns if params._fills_columns[t] else _redraw_repeats
+        redraw(rng, raw.reshape(-1, ks[t]), n)
         blocks.append(raw)
     return x, blocks
 
@@ -303,10 +326,8 @@ def union_arcs(params: GraphParams, x, blocks) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(src), np.concatenate(dst)
 
 
-def construct_r_type(params: GraphParams, rng) -> KoutGraph:
-    """Draw one graph from the r-class ensemble."""
-    x, blocks = draw_trial(params, as_generator(rng))
-    types = types_from_uniforms(params, x)
+def _realize(params: GraphParams, types, blocks) -> KoutGraph:
+    """The KoutGraph of node types and raw class blocks in draw_trial's layout."""
     ks = params.type_selections
     indptr = np.zeros(params.n + 1, dtype=np.int64)
     np.cumsum(np.asarray(ks, dtype=np.int64)[types], out=indptr[1:])
@@ -317,6 +338,12 @@ def construct_r_type(params: GraphParams, rng) -> KoutGraph:
         sel = sel + (sel >= members[:, None])
         flat[indptr[members][:, None] + np.arange(k)] = np.sort(sel, axis=1)
     return KoutGraph(params=params, node_types=types, sel_indptr=indptr, sel_flat=flat)
+
+
+def construct_r_type(params: GraphParams, rng) -> KoutGraph:
+    """Draw one graph from the r-class ensemble."""
+    x, blocks = draw_trial(params, as_generator(rng))
+    return _realize(params, types_from_uniforms(params, x), blocks)
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):
@@ -360,35 +387,17 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
     light = np.flatnonzero(g2.node_types == 0)
     cum = np.cumsum(target.type_probs[:-1]) / mu_tilde
     drawn = np.searchsorted(cum, rng.random(light.size), side="right")
-    drawn = np.minimum(drawn, r - 2)
-    new_types = np.full(n, r - 1, dtype=np.int64)
-    new_types[light] = drawn
+    types = np.full(n, r - 1, dtype=np.int64)
+    types[light] = np.minimum(drawn, r - 2)
 
-    ks = target.type_selections
-    additions = {}
-    for i in light[drawn >= 1].tolist():
-        have = set(g2.selection_set(i).tolist())
-        need = ks[int(new_types[i])] - 1
-        picks = []
-        while len(picks) < need:
-            c = int(rng.integers(0, n - 1))
-            c += c >= i
-            if c in have:
-                continue
-            have.add(c)
-            picks.append(c)
-        additions[i] = picks
-
-    indptr = np.zeros(n + 1, dtype=np.int64)
-    np.cumsum(np.asarray(ks, dtype=np.int64)[new_types], out=indptr[1:])
-    flat = np.empty(int(indptr[-1]), dtype=np.int64)
-    # carry the original picks over, then append and sort the additions
+    # g2's picks with the self-avoiding shift undone, as draw_trial made them
     src = np.repeat(np.arange(n), np.diff(g2.sel_indptr))
-    rank = np.arange(src.size) - g2.sel_indptr[src]
-    flat[indptr[src] + rank] = g2.sel_flat
-    old_count = np.diff(g2.sel_indptr)
-    for i, picks in additions.items():
-        lo = int(indptr[i] + old_count[i])
-        flat[lo:lo + len(picks)] = picks
-        flat[indptr[i]:indptr[i + 1]].sort()
-    return KoutGraph(params=target, node_types=new_types, sel_indptr=indptr, sel_flat=flat)
+    raw = g2.sel_flat - (g2.sel_flat > src)
+    blocks = []
+    for t, k in enumerate(target.type_selections[:-1]):
+        kept = raw[g2.sel_indptr[:-1][types == t]]  # each light node's one pick
+        rows = np.column_stack([kept, rng.integers(0, n - 1, size=(kept.size, k - 1))])
+        _distinct_columns(rng, rows, n)
+        blocks.append(rows)
+    blocks.append(raw[types[src] == r - 1])
+    return _realize(target, types, blocks)

@@ -79,6 +79,16 @@ def test_sample_random_seed_is_echoed(capsys):
     assert "seed=" in out.split("\n")[0]
 
 
+def test_sample_with_k_one_below_n_returns():
+    # 19 distinct picks out of 19 are drawn column by column, not by
+    # redrawing whole rows that are distinct with probability ~1e-8
+    proc = subprocess.run(
+        [sys.executable, "-m", "koutlab", "sample", "--n", "20", "--k", "19", "--seed", "1"],
+        capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 0, proc.stderr
+    assert "# cmax 20 outside 0" in proc.stdout
+
+
 def test_sample_rejects_half_vector(capsys):
     code, _, err = run_cli(capsys, "sample", "--n", "10",
                            "--mu-vec", "0.5,0.5")

@@ -11,7 +11,7 @@ from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
                                  run_sweep, trial_keys, trial_stream)
-from koutlab.graph_model import (GraphParams, construct_r_type,
+from koutlab.graph_model import (GraphParams, KoutGraph, construct_r_type, couple_extend,
                                  delete_random_nodes, two_type_params)
 
 
@@ -73,6 +73,13 @@ def test_collect_cmax_matches_per_trial_reference(params, d, trials, workers):
     got = collect_cmax(params, d, trials, seed=31, point_index=2, workers=workers)
     assert got.dtype == np.int64
     assert np.array_equal(got, _per_trial_cmax(params, d, trials, 31, point_index=2))
+
+
+def test_collect_cmax_returns_on_rarely_distinct_rows():
+    # class 2 picks 19 of 19; whole rows are distinct with probability ~6e-8
+    params = GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19))
+    got = collect_cmax(params, 0, 40, seed=1, workers=1)
+    assert np.array_equal(got, _per_trial_cmax(params, 0, 40, 1))
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**64 + 1, 20240819,
@@ -367,6 +374,50 @@ def test_coupling_experiment_reports_no_violations():
     assert rep.edge_superset_violations == 0
     assert rep.cmax_violations == 0
     assert rep.avg_cmax_extended >= rep.avg_cmax_base
+
+
+def _coupling_reference(target, trials, seed):
+    # the per-pair loop: one stream per pair, both graphs sized by BFS
+    base = two_type_params(target.n, sum(target.type_probs[:-1]), target.type_selections[-1])
+    edge_bad = cmax_bad = base_total = ext_total = 0
+    for t in range(trials):
+        rng = trial_stream(seed, 0, t)
+        g2 = construct_r_type(base, rng)
+        ext = couple_extend(g2, target, rng)
+        edges = [set(zip(*(a.tolist() for a in g.edge_arrays()))) for g in (g2, ext)]
+        edge_bad += not edges[0] <= edges[1]
+        c_base = connected_components_bfs(g2).cmax
+        c_ext = connected_components_bfs(ext).cmax
+        cmax_bad += c_ext < c_base
+        base_total += c_base
+        ext_total += c_ext
+    return edge_bad, cmax_bad, base_total / trials, ext_total / trials
+
+
+@pytest.mark.parametrize("n, trials", [(150, 200), (4100, 3)])
+def test_coupling_batches_match_per_pair_reference(n, trials):
+    # 27 pairs a batch at n=150; one pair a batch above 4096 nodes
+    target = GraphParams(n=n, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
+    rep = coupling_experiment(target, trials, seed=29)
+    assert (rep.edge_superset_violations, rep.cmax_violations, rep.avg_cmax_base,
+            rep.avg_cmax_extended) == _coupling_reference(target, trials, 29)
+
+
+def test_coupling_experiment_sees_a_dropped_pick(monkeypatch):
+    # an extension that loses one carried pick must be reported, so the
+    # containment check is not vacuous
+    def lossy(g2, target, rng):
+        ext = couple_extend(g2, target, rng)
+        i = int(np.flatnonzero(ext.node_types == target.r - 1)[0])  # keeps all its picks
+        indptr = ext.sel_indptr.copy()
+        indptr[i + 1:] -= 1
+        return KoutGraph(target, ext.node_types, indptr,
+                         np.delete(ext.sel_flat, ext.sel_indptr[i]))
+
+    monkeypatch.setattr(experiments, "couple_extend", lossy)
+    target = GraphParams(n=150, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
+    rep = coupling_experiment(target, 60, seed=13)
+    assert rep.edge_superset_violations == 60
 
 
 def test_coupling_experiment_two_class_target_is_trivial():

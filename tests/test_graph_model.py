@@ -1,3 +1,4 @@
+import itertools
 import math
 
 import numpy as np
@@ -277,6 +278,58 @@ def test_coupling_reproduces_target_type_frequencies():
     counts = np.bincount(ext.node_types, minlength=3) / n
     for got, want in zip(counts, target.type_probs):
         assert abs(got - want) < 0.01
+
+
+def test_coupling_extension_draws_uniform_selection_sets():
+    # a class-1 node's three picks, taken relative to it, are uniform over
+    # the C(5, 3) = 10 subsets of {1..5}, whatever pick it kept from g2
+    target = GraphParams(n=6, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 3, 5))
+    base = two_type_params(6, 0.8, 5)
+    rng = np.random.default_rng(21)
+    counts = np.zeros(1 << 6, dtype=np.int64)
+    for _ in range(5000):
+        ext = couple_extend(construct_r_type(base, rng), target, rng)
+        rows = np.flatnonzero(ext.node_types == 1)
+        sel = ext.sel_flat[ext.sel_indptr[rows][:, None] + np.arange(3)]
+        offsets = (sel - rows[:, None]) % 6
+        np.add.at(counts, (1 << offsets).sum(axis=1), 1)
+    cells = [sum(1 << j for j in c) for c in itertools.combinations(range(1, 6), 3)]
+    total = counts.sum()
+    assert counts[cells].sum() == total
+    p = 1 / len(cells)
+    z = (counts[cells] - total * p) / math.sqrt(total * p * (1 - p))
+    assert np.abs(z).max() < 5, z
+
+
+def test_rarely_distinct_rows_are_filled_column_by_column():
+    # a whole row of 19 distinct picks out of 19 has probability ~6e-8, so
+    # class 2 must not be redrawn row by row; every class-2 node picks all
+    params = GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19))
+    assert params._fills_columns == (False, False, True)
+    for seed in range(20):
+        g = construct_r_type(params, np.random.default_rng(seed))
+        for i in np.flatnonzero(g.node_types == 2).tolist():
+            assert g.selection_set(i).tolist() == [j for j in range(20) if j != i]
+
+
+def test_column_fill_is_uniform_over_subsets():
+    # n=14, K=12: whole rows are distinct with probability ~2.7e-4, so the
+    # column fill draws them; each of the 13 subsets leaves out one offset
+    params = two_type_params(14, 0.1, 12)
+    assert params._fills_columns == (False, True)
+    rng = np.random.default_rng(17)
+    counts = np.zeros(14, dtype=np.int64)
+    for _ in range(1500):
+        g = construct_r_type(params, rng)
+        rows = np.flatnonzero(g.node_types == 1)
+        sel = g.sel_flat[g.sel_indptr[rows][:, None] + np.arange(12)]
+        offsets = (sel - rows[:, None]) % 14  # 12 of 1..13, which sum to 91
+        np.add.at(counts, 91 - offsets.sum(axis=1), 1)
+    assert counts[0] == 0
+    total = counts.sum()
+    p = 1 / 13
+    z = (counts[1:] - total * p) / math.sqrt(total * p * (1 - p))
+    assert np.abs(z).max() < 5, z
 
 
 def test_r_type_empirical_mean_degree():
