@@ -18,7 +18,7 @@ from .errors import ParameterError
 from .experiments import (CouplingReport, ExperimentConfig, TrialSummary,
                           collect_cmax, coupling_experiment, plausibility_floor,
                           resolve_workers, run_point, run_sweep, trial_stream)
-from .graph_model import (DeletionSpec, GraphParams, InducedSubgraph, KoutGraph,
+from .graph_model import (DeletionSpec, GraphParams, KoutGraph,
                           assign_types, construct_r_type, couple_extend,
                           delete_random_nodes, two_type_params)
 from .oracle import (BoundEvaluation, exact_cut_probability,
@@ -30,7 +30,7 @@ __version__ = "0.1.0"
 __all__ = [
     "AsymptoticBound", "BoundEvaluation", "ComponentReport", "CouplingReport",
     "CutRangeImplication", "DeletionSpec", "ExperimentConfig", "GraphParams",
-    "InducedSubgraph", "KoutGraph", "ParameterError", "TrialSummary",
+    "KoutGraph", "ParameterError", "TrialSummary",
     "assign_types", "collect_cmax", "connected_components",
     "connected_components_bfs", "construct_r_type", "couple_extend",
     "coupling_experiment", "cut_range_implication", "delete_random_nodes",

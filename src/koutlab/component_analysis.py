@@ -1,12 +1,11 @@
 """Connected components, largest-component statistics, and cut detection.
 
-Functions here accept any graph view exposing n, n_effective,
-surviving() and edge_arrays(); both KoutGraph and InducedSubgraph
-qualify.  The cut-range queries also read the view's components, its
-ComponentReport; KoutGraph and InducedSubgraph label themselves once
-and keep it, so asking one graph about many ranges labels it once.  A
-cut is a nonempty proper subset of the surviving nodes with no edge to
-its complement.  Every union of whole components is a cut and every cut
+Functions here accept any graph exposing n, n_effective, surviving()
+and edge_arrays(), such as a KoutGraph with or without deleted nodes.
+The cut-range queries also read the graph's components, its
+ComponentReport; a KoutGraph labels itself once and keeps it, so asking
+one graph about many ranges labels it once.  A cut is a nonempty proper
+subset of the surviving nodes with no edge to its complement.  Every union of whole components is a cut and every cut
 is such a union, which is what makes the subset-sum test in
 has_cut_in_range exact.
 

@@ -12,6 +12,7 @@ memory only and are never written to the emitted files.
 from __future__ import annotations
 
 import json
+import math
 import os
 import time
 from concurrent.futures import ProcessPoolExecutor
@@ -24,7 +25,7 @@ import numpy as np
 from .component_analysis import component_labels
 from .errors import ParameterError
 from .graph_model import (GraphParams, construct_r_type, couple_extend, draw_trial,
-                          two_type_params, union_arcs)
+                          two_type_params, types_from_uniforms, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
 from .oracle import union_bound_sum
@@ -166,7 +167,8 @@ def _batch_cmax(params, d, rng, keys) -> np.ndarray:
         blocks.append(picks)
         if d:
             dead.append(rng.choice(n, size=d, replace=False))
-    u, v = union_arcs(params, np.stack(xs), [np.concatenate(c) for c in zip(*blocks)])
+    u, v = union_arcs(params, types_from_uniforms(params, np.stack(xs)),
+                      [np.concatenate(c) for c in zip(*blocks)])
     nodes = len(keys) * n
     if d:
         alive = np.ones(nodes, dtype=bool)
@@ -306,6 +308,9 @@ class ExperimentConfig:
             raise ParameterError("need at least one trial per point")
         if self.seed < 0:
             raise ParameterError("seed must be a non-negative integer")
+        if not 0.0 < self.overlay_eps < math.inf:
+            raise ParameterError(f"overlay_eps must be a finite number > 0, "
+                                 f"got {self.overlay_eps!r}")
         names = []
         for name in self.overlays:
             names.append(_KIND_ALIASES.get(name, name))
@@ -538,11 +543,14 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
             graphs.append(construct_r_type(base_params, rng))
             graphs.append(couple_extend(graphs[-1], target, rng))
         nodes = len(graphs) * n  # node i of graphs[g] is node g*n + i
-        u = np.repeat(np.arange(nodes), np.concatenate([np.diff(g.sel_indptr) for g in graphs]))
-        v = np.concatenate([g.sel_flat for g in graphs]) + u // n * n
+        arcs = [g.arcs for g in graphs]
+        offset = np.repeat(np.arange(0, nodes, n), [src.size for src, _ in arcs])
+        u = np.concatenate([src for src, _ in arcs]) + offset
+        v = np.concatenate([dst for _, dst in arcs]) + offset
         cmax.append(_cmax_per_graph(n, nodes, u, v))
-        # arc keys ascend; a base arc must come back n nodes on, in its extension
-        key = u * nodes + v
+        # a base arc must come back n nodes on, in its extension
+        key = np.sort(u * nodes + v)
+        u = key // nodes
         base = u // n % 2 == 0
         want = key[base] + n * (nodes + 1)
         kept = key[np.minimum(np.searchsorted(key, want), key.size - 1)] == want

@@ -3,14 +3,14 @@
 Each of n nodes independently becomes type-i with probability mu_i and
 selects K_i distinct other nodes uniformly at random (K_1 < ... < K_r).
 An undirected edge joins i and j when either selected the other.  The
-module also implements uniform random node deletion, returning a view
-of the induced subgraph on the survivors, and a coupling that extends a
-two-type draw to an r-type draw without removing any edge.
+module also implements uniform random node deletion, which marks nodes
+deleted in a copy of the graph, and a coupling that extends a two-type
+draw to an r-type draw without removing any edge.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from functools import cached_property
 from math import isfinite, prod
 
@@ -109,17 +109,20 @@ def two_type_params(n, mu, k) -> GraphParams:
 
 @dataclass(frozen=True, eq=False)
 class KoutGraph:
-    """A realized graph: per-node types, selection sets, derived edges.
+    """A realized graph, kept as its draw.
 
-    Selection sets are stored in CSR form; node i's (sorted) picks are
-    sel_flat[sel_indptr[i]:sel_indptr[i+1]].  Instances are immutable;
-    edges are derived lazily and cached.
+    node_types and blocks are draw_trial's: blocks[t] holds the raw picks
+    of the class-t nodes, nodes in order, row by row (see union_arcs).
+    deleted holds the nodes a deletion removed (delete_random_nodes);
+    original node ids are kept and nothing is re-indexed.  Instances are
+    immutable; arcs, selection sets, edges and components are derived on
+    first use and cached.
     """
 
     params: GraphParams
     node_types: np.ndarray
-    sel_indptr: np.ndarray
-    sel_flat: np.ndarray
+    blocks: tuple
+    deleted: frozenset = frozenset()
 
     @property
     def n(self) -> int:
@@ -127,10 +130,37 @@ class KoutGraph:
 
     @property
     def n_effective(self) -> int:
-        return self.params.n
+        return self.params.n - len(self.deleted)
+
+    @cached_property
+    def _alive(self) -> np.ndarray:
+        alive = np.ones(self.n, dtype=bool)
+        alive[list(self.deleted)] = False
+        return alive
 
     def surviving(self) -> np.ndarray:
-        return np.arange(self.n)
+        return np.flatnonzero(self._alive)
+
+    @cached_property
+    def arcs(self) -> tuple[np.ndarray, np.ndarray]:
+        """Every pick as an arc (node, picked node), class by class (union_arcs)."""
+        return union_arcs(self.params, self.node_types, self.blocks)
+
+    @cached_property
+    def sel_indptr(self) -> np.ndarray:
+        """Node i's picks are sel_flat[sel_indptr[i]:sel_indptr[i+1]] (read-only)."""
+        indptr = np.zeros(self.n + 1, dtype=np.int64)
+        np.cumsum(np.bincount(self.arcs[0], minlength=self.n), out=indptr[1:])
+        indptr.flags.writeable = False
+        return indptr
+
+    @cached_property
+    def sel_flat(self) -> np.ndarray:
+        """Every node's picks, sorted, nodes in order (read-only)."""
+        src, dst = self.arcs
+        flat = np.sort(src * np.int64(self.n) + dst) % self.n
+        flat.flags.writeable = False
+        return flat
 
     def selection_set(self, i) -> np.ndarray:
         """The nodes selected by node i, as a sorted array view."""
@@ -138,27 +168,25 @@ class KoutGraph:
 
     @cached_property
     def _edges(self):
-        src = np.repeat(np.arange(self.n), np.diff(self.sel_indptr))
-        a = np.minimum(src, self.sel_flat)
-        b = np.maximum(src, self.sel_flat)
-        key = np.unique(a * np.int64(self.n) + b)
+        src, dst = self.arcs
+        if self.deleted:
+            keep = self._alive[src] & self._alive[dst]
+            src, dst = src[keep], dst[keep]
+        key = np.unique(np.minimum(src, dst) * np.int64(self.n) + np.maximum(src, dst))
         return key // self.n, key % self.n
 
     def edge_arrays(self):
-        """Undirected edges as parallel arrays (u, v), u < v, lexsorted."""
+        """Undirected edges among the survivors as parallel arrays (u, v),
+        u < v, lexsorted."""
         return self._edges
 
     @property
     def edge_count(self) -> int:
         return int(self._edges[0].size)
 
-    def degrees(self) -> np.ndarray:
-        u, v = self._edges
-        return np.bincount(u, minlength=self.n) + np.bincount(v, minlength=self.n)
-
     @cached_property
     def components(self) -> ComponentReport:
-        """connected_components of the graph, labeled on first use and kept."""
+        """connected_components of the survivors, labeled on first use and kept."""
         return connected_components(self)
 
 
@@ -168,50 +196,6 @@ class DeletionSpec:
 
     d: int
     nodes: tuple[int, ...]
-
-
-@dataclass(frozen=True, eq=False)
-class InducedSubgraph:
-    """View of a KoutGraph restricted to the survivors of a deletion.
-
-    Original node ids are kept; nothing is re-indexed and the base
-    graph is never modified.
-    """
-
-    base: KoutGraph
-    deleted: frozenset
-
-    @property
-    def n(self) -> int:
-        return self.base.n
-
-    @property
-    def n_effective(self) -> int:
-        return self.base.n - len(self.deleted)
-
-    @cached_property
-    def _alive(self):
-        mask = np.ones(self.base.n, dtype=bool)
-        if self.deleted:
-            mask[list(self.deleted)] = False
-        return mask
-
-    def surviving(self) -> np.ndarray:
-        return np.flatnonzero(self._alive)
-
-    @cached_property
-    def _edges(self):
-        u, v = self.base.edge_arrays()
-        keep = self._alive[u] & self._alive[v]
-        return u[keep], v[keep]
-
-    def edge_arrays(self):
-        return self._edges
-
-    @cached_property
-    def components(self) -> ComponentReport:
-        """connected_components of the survivors, labeled on first use and kept."""
-        return connected_components(self)
 
 
 # ---------------------------------------------------------------------------
@@ -304,17 +288,18 @@ def draw_trial(params: GraphParams, rng):
     return x, blocks
 
 
-def union_arcs(params: GraphParams, x, blocks) -> tuple[np.ndarray, np.ndarray]:
-    """The raw arcs (src, pick) of B draws, as one graph on B*n nodes.
+def union_arcs(params: GraphParams, types, blocks) -> tuple[np.ndarray, np.ndarray]:
+    """The arcs (src, picked node) of B draws, as one graph on B*n nodes.
 
-    x is the (B, n) stack of the draws' uniforms and blocks[t] the
-    concatenation, in draw order, of their class-t blocks (draw_trial);
-    node i of draw b is node b*n + i.  Arcs come class by class and are
+    types is the (B, n) stack of the draws' node types (types_from_uniforms)
+    and blocks[t] the concatenation, in draw order, of their class-t blocks
+    (draw_trial); node i of draw b is node b*n + i.  This is the one place
+    that applies the self-avoiding shift.  Arcs come class by class and are
     not deduplicated: repeated and mutual picks do not change the
     components.
     """
     n = params.n
-    types = types_from_uniforms(params, x).ravel()
+    types = np.ravel(types)
     src, dst = [], []
     for t, (k, pick) in enumerate(zip(params.type_selections, blocks)):
         node = np.flatnonzero(types == t)
@@ -326,35 +311,24 @@ def union_arcs(params: GraphParams, x, blocks) -> tuple[np.ndarray, np.ndarray]:
     return np.concatenate(src), np.concatenate(dst)
 
 
-def _realize(params: GraphParams, types, blocks) -> KoutGraph:
-    """The KoutGraph of node types and raw class blocks in draw_trial's layout."""
-    ks = params.type_selections
-    indptr = np.zeros(params.n + 1, dtype=np.int64)
-    np.cumsum(np.asarray(ks, dtype=np.int64)[types], out=indptr[1:])
-    flat = np.empty(int(indptr[-1]), dtype=np.int64)
-    for t, (k, block) in enumerate(zip(ks, blocks)):
-        members = np.flatnonzero(types == t)
-        sel = block.reshape(-1, k)
-        sel = sel + (sel >= members[:, None])
-        flat[indptr[members][:, None] + np.arange(k)] = np.sort(sel, axis=1)
-    return KoutGraph(params=params, node_types=types, sel_indptr=indptr, sel_flat=flat)
-
-
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:
     """Draw one graph from the r-class ensemble."""
     x, blocks = draw_trial(params, as_generator(rng))
-    return _realize(params, types_from_uniforms(params, x), blocks)
+    return KoutGraph(params, types_from_uniforms(params, x), tuple(blocks))
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):
-    """Remove d uniformly random nodes; returns (DeletionSpec, induced view)."""
+    """Remove d uniformly random nodes; returns (DeletionSpec, the graph
+    with those nodes deleted)."""
+    if g.deleted:
+        raise ParameterError("the graph already has deleted nodes")
     d = int(d)
     if not 0 <= d < g.n:
         raise ParameterError("deletion count must satisfy 0 <= d < n")
     rng = as_generator(rng)
     chosen = np.sort(rng.choice(g.n, size=d, replace=False))
     spec = DeletionSpec(d=d, nodes=tuple(int(x) for x in chosen))
-    return spec, InducedSubgraph(base=g, deleted=frozenset(spec.nodes))
+    return spec, replace(g, deleted=frozenset(spec.nodes))
 
 
 def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
@@ -368,6 +342,8 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
     """
     if g2.params.r != 2:
         raise ParameterError("coupling starts from a two-type graph")
+    if g2.deleted:
+        raise ParameterError("coupling starts from a graph without deleted nodes")
     if g2.n != target.n:
         raise ParameterError("node counts of base graph and target must match")
     if target.type_selections[0] != 1:
@@ -386,18 +362,14 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
 
     light = np.flatnonzero(g2.node_types == 0)
     cum = np.cumsum(target.type_probs[:-1]) / mu_tilde
-    drawn = np.searchsorted(cum, rng.random(light.size), side="right")
+    drawn = np.minimum(np.searchsorted(cum, rng.random(light.size), side="right"), r - 2)
     types = np.full(n, r - 1, dtype=np.int64)
-    types[light] = np.minimum(drawn, r - 2)
-
-    # g2's picks with the self-avoiding shift undone, as draw_trial made them
-    src = np.repeat(np.arange(n), np.diff(g2.sel_indptr))
-    raw = g2.sel_flat - (g2.sel_flat > src)
+    types[light] = drawn
     blocks = []
     for t, k in enumerate(target.type_selections[:-1]):
-        kept = raw[g2.sel_indptr[:-1][types == t]]  # each light node's one pick
+        kept = g2.blocks[0][drawn == t]  # each class-t node's raw pick from g2
         rows = np.column_stack([kept, rng.integers(0, n - 1, size=(kept.size, k - 1))])
         _distinct_columns(rng, rows, n)
-        blocks.append(rows)
-    blocks.append(raw[types[src] == r - 1])
-    return _realize(target, types, blocks)
+        blocks.append(rows.ravel())
+    blocks.append(g2.blocks[1])
+    return KoutGraph(target, types, tuple(blocks))

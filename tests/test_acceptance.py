@@ -115,7 +115,7 @@ def test_c09_empirical_mean_degree_matches_formula():
     total = 0.0
     trials = 200
     for _ in range(trials):
-        total += construct_r_type(params, rng).degrees().mean()
+        total += 2 * construct_r_type(params, rng).edge_count / params.n
     expected = mean_degree(2000, 0.9, 2)
     print(f"criterion 9: empirical {total / trials:.6f} vs formula "
           f"{expected:.6f}")

@@ -1,5 +1,6 @@
 import hashlib
 import json
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,7 +12,7 @@ from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
                                  run_sweep, trial_keys, trial_stream)
-from koutlab.graph_model import (GraphParams, KoutGraph, construct_r_type, couple_extend,
+from koutlab.graph_model import (GraphParams, construct_r_type, couple_extend,
                                  delete_random_nodes, two_type_params)
 
 
@@ -330,7 +331,8 @@ def test_bad_sweep_values_are_named(axis, values):
 
 @pytest.mark.parametrize("field,value", [
     ("n", "thirty"), ("trials", 2.5), ("seed", "x"), ("mu", None), ("overlay_m", "x"),
-    ("overlay_eps", []),
+    ("overlay_eps", []), ("overlay_eps", float("inf")), ("overlay_eps", float("nan")),
+    ("overlay_eps", 0.0),
 ])
 def test_bad_config_fields_are_named(field, value):
     conf = dict(sweep_param="d", sweep_values=(0,), n=30, mu=0.5, k=2, overlays=("t1",),
@@ -408,11 +410,12 @@ def test_coupling_experiment_sees_a_dropped_pick(monkeypatch):
     # containment check is not vacuous
     def lossy(g2, target, rng):
         ext = couple_extend(g2, target, rng)
-        i = int(np.flatnonzero(ext.node_types == target.r - 1)[0])  # keeps all its picks
-        indptr = ext.sel_indptr.copy()
-        indptr[i + 1:] -= 1
-        return KoutGraph(target, ext.node_types, indptr,
-                         np.delete(ext.sel_flat, ext.sel_indptr[i]))
+        # move the first heavy node's first pick, carried from g2, to a
+        # node its row does not hold
+        k = target.type_selections[-1]
+        heavy = ext.blocks[-1].copy()
+        heavy[0] = min(set(range(target.n - 1)) - set(heavy[:k].tolist()))
+        return replace(ext, blocks=ext.blocks[:-1] + (heavy,))
 
     monkeypatch.setattr(experiments, "couple_extend", lossy)
     target = GraphParams(n=150, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))

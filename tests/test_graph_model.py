@@ -6,8 +6,8 @@ import pytest
 
 from koutlab import ParameterError
 from koutlab.graph_model import (GraphParams, assign_types, construct_r_type,
-                                 couple_extend, delete_random_nodes,
-                                 two_type_params, types_from_uniforms)
+                                 couple_extend, delete_random_nodes, draw_trial,
+                                 two_type_params, types_from_uniforms, union_arcs)
 
 
 def test_params_validation_rejects_bad_inputs():
@@ -87,7 +87,8 @@ def test_minimum_degree_is_at_least_one():
     for seed in range(20):
         g = construct_r_type(two_type_params(30, 0.9, 2),
                              np.random.default_rng(seed))
-        assert g.degrees().min() >= 1
+        eu, ev = g.edge_arrays()
+        assert np.union1d(eu, ev).size == g.n  # every node is an edge endpoint
 
 
 def test_three_nodes_with_k_two_is_always_connected():
@@ -181,12 +182,13 @@ def test_fixed_pair_adjacency_probability():
     params = two_type_params(10, 0.5, 2)
     q = params.mean_selections / (params.n - 1)
     p = 2 * q - q * q
-    trials = 100_000
+    n, trials = params.n, 100_000
     rng = np.random.default_rng(5)
-    hits = 0
-    for _ in range(trials):
-        g = construct_r_type(params, rng)
-        hits += 1 in g.selection_set(0) or 0 in g.selection_set(1)
+    xs, blocks = zip(*(draw_trial(params, rng) for _ in range(trials)))
+    u, v = union_arcs(params, types_from_uniforms(params, np.stack(xs)),
+                      [np.concatenate(c) for c in zip(*blocks)])
+    pair = u % n + v % n == 1  # an arc 0->1 or 1->0 within its draw
+    hits = np.unique(u[pair] // n).size
     sigma = math.sqrt(p * (1 - p) / trials)
     assert abs(hits / trials - p) < 4 * sigma
 
@@ -226,6 +228,8 @@ def test_deletion_validates_range_and_keeps_base_intact():
     assert len(surv) == 6
     eu, ev = view.edge_arrays()
     assert all(u in surv and v in surv for u, v in zip(eu.tolist(), ev.tolist()))
+    with pytest.raises(ParameterError, match="already has deleted nodes"):
+        delete_random_nodes(view, 1, np.random.default_rng(1))
 
 
 def test_coupling_output_contains_base_edges():
@@ -265,6 +269,10 @@ def test_coupling_rejects_mismatched_base():
         couple_extend(construct_r_type(wrong_mix, rng), target, rng)
     with pytest.raises(ParameterError):
         couple_extend(construct_r_type(wrong_k, rng), target, rng)
+    base = GraphParams(n=50, type_probs=(0.8, 0.2), type_selections=(1, 4))
+    _, view = delete_random_nodes(construct_r_type(base, rng), 3, rng)
+    with pytest.raises(ParameterError, match="without deleted nodes"):
+        couple_extend(view, target, rng)
 
 
 def test_coupling_reproduces_target_type_frequencies():
@@ -340,5 +348,5 @@ def test_r_type_empirical_mean_degree():
     total = 0.0
     trials = 200
     for _ in range(trials):
-        total += construct_r_type(params, rng).degrees().mean()
+        total += 2 * construct_r_type(params, rng).edge_count / params.n
     assert abs(total / trials - 3.8) < 0.05
