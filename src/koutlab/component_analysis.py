@@ -9,13 +9,15 @@ subset of the surviving nodes with no edge to its complement.  Every union of wh
 is such a union, which is what makes the subset-sum test in
 has_cut_in_range exact.
 
-Two labelers live here.  component_labels, vectorized over raw arc
-arrays so that many graphs can be labeled in one call, sizes every
-realized graph: the batched trials and connected_components, and so
-every cut query above.  _reference_sizes is a plain breadth-first
-search; it sizes the exhaustive enumerator's tiny graphs and, as
-connected_components_bfs, is the reference the vectorized labeler is
-checked against.
+Two labelers live here.  component_labels sizes every realized graph:
+the batched trials and connected_components, and so every cut query
+above.  It works on raw arc arrays, so many graphs are labeled in one
+call, in rounds of one hook and a fixed number of pointer jumps, and it
+returns only once every arc lies inside one tree; each label is the
+smallest node id of its component.  _reference_sizes is a plain
+breadth-first search; it sizes the exhaustive enumerator's tiny graphs
+and, as connected_components_bfs, is the reference the vectorized
+labeler is checked against.
 """
 
 from __future__ import annotations
@@ -40,32 +42,44 @@ class ComponentReport:
         return sum(self.component_sizes)
 
 
+# Pointer jumps per hook round; a fixed count, not a jump to convergence.
+_JUMPS = 2
+
+
 def component_labels(size, u, v) -> np.ndarray:
     """Component label of every node 0..size-1 under the arcs (u, v).
 
     A node's label is the smallest node id in its component.  Vectorized
-    hook-and-shortcut (Shiloach & Vishkin, J. Algorithms 1982): hook the
-    larger root of every arc joining two trees onto the smaller, jump
-    pointers until each node points at its root, and drop the arcs that
-    now lie inside one tree.  Since parent[x] <= x throughout, each
-    final root is its component's minimum.  Repeated, mutual and
-    self arcs are harmless.
+    hook-and-shortcut (Shiloach & Vishkin, J. Algorithms 1982): a round
+    hooks the larger end of every live arc onto the smaller, jumps
+    pointers _JUMPS times, moves both ends of each arc to where they now
+    point and drops the arcs whose ends meet.  With no arc live, pointers
+    jump until each node points at its root, and the original arcs that
+    do not lie inside one tree are live again: a round can hook a node
+    that is no longer a root and so split its old tree.  On return every
+    tree joins connected nodes and is closed under the arcs, so the trees
+    are the components, and since parent[x] <= x throughout each root is
+    its component's minimum.  Repeated, mutual and self arcs are harmless.
     """
     parent = np.arange(size)
     lo = np.minimum(u, v)
     hi = np.maximum(u, v)
     while True:
-        np.minimum.at(parent, hi, lo)
-        while True:
-            jumped = parent[parent]
-            if np.array_equal(jumped, parent):
-                break
-            parent = jumped
-        lo = parent[lo]
-        hi = parent[hi]
-        live = lo != hi
-        if not live.any():
-            return parent
+        if lo.size:
+            np.minimum.at(parent, hi, lo)
+            for _ in range(_JUMPS):
+                parent = parent[parent]
+            lo, hi = parent[lo], parent[hi]
+        else:
+            while True:
+                jumped = parent[parent]
+                if np.array_equal(jumped, parent):
+                    break
+                parent = jumped
+            lo, hi = parent[u], parent[v]
+            if np.array_equal(lo, hi):
+                return parent
+        live = np.flatnonzero(lo != hi)  # index gathers beat a mixed boolean mask
         lo, hi = lo[live], hi[live]
         lo, hi = np.minimum(lo, hi), np.maximum(lo, hi)
 

@@ -4,11 +4,13 @@ import numpy as np
 import pytest
 
 from koutlab import ParameterError
-from koutlab.component_analysis import (ComponentReport, component_labels,
+from koutlab.component_analysis import (ComponentReport, _reference_sizes,
+                                        component_labels,
                                         connected_components,
                                         connected_components_bfs,
                                         cut_range_implication,
                                         has_cut_in_range, is_cut)
+from koutlab.experiments import _cmax_per_graph
 from koutlab.graph_model import (construct_r_type, delete_random_nodes,
                                  two_type_params)
 from koutlab.oracle import exhaustive_event_probability
@@ -64,7 +66,9 @@ def test_component_report_invariants_on_random_graphs():
 
 def _assert_labels_match(view, u, v):
     # component_labels over raw arcs gives the partition that the BFS
-    # reference finds on the view, each component labeled by its smallest node
+    # reference finds on the view; with labels equal along every arc, no
+    # larger than the node they label and fixed by themselves, that makes
+    # each label its component's smallest node
     labels = component_labels(view.n, np.asarray(u, dtype=np.int64),
                               np.asarray(v, dtype=np.int64))
     assert np.array_equal(labels[u], labels[v])
@@ -73,6 +77,7 @@ def _assert_labels_match(view, u, v):
     counts = np.bincount(labels[view.surviving()], minlength=view.n)
     sizes = tuple(sorted(counts[counts > 0].tolist(), reverse=True))
     assert sizes == connected_components_bfs(view).component_sizes
+    return labels
 
 
 @pytest.mark.parametrize("n,arcs", [
@@ -81,6 +86,8 @@ def _assert_labels_match(view, u, v):
     (300, [(i, i - 1) for i in range(299, 0, -1)]),  # a path, hooked from its top
     (200, [(0, i) for i in range(199, 0, -1)]),      # a star on the smallest id
     (200, [(199, i) for i in range(199)]),           # a star on the largest id
+    (200, [(i, 0) for i in range(1, 200)]),          # the same stars, ends swapped
+    (200, [(i, 199) for i in range(198, -1, -1)]),
 ])
 def test_component_labels_on_hand_built_arcs(n, arcs):
     u = [a for a, _ in arcs]
@@ -96,6 +103,101 @@ def test_component_labels_agree_with_bfs_on_random_graphs():
         d = int(rng.integers(0, n))
         view = delete_random_nodes(g, d, rng)[1] if d else g
         _assert_labels_match(view, *view.edge_arrays())
+
+
+def _labels_match_on_arcs(n, u, v, deleted=()):
+    u, v = np.asarray(u, dtype=np.int64), np.asarray(v, dtype=np.int64)
+    view = HandGraph(n, zip(u.tolist(), v.tolist()), deleted)
+    return _assert_labels_match(view, u, v)
+
+
+@pytest.mark.parametrize("length", [18, 66, 300, 100_000])
+@pytest.mark.parametrize("rising", [True, False])
+@pytest.mark.parametrize("swap", [True, False])
+def test_component_labels_on_monotone_chains(length, rising, swap):
+    # far deeper than the jumps of one round reach: a path whose arcs come
+    # from the low end first or the high end first, ends either way round,
+    # with three isolated nodes above it; at 18, 66 and 300 nodes the last
+    # arc drops before every node points at the root
+    lo = np.arange(length - 1) if rising else np.arange(length - 2, -1, -1)
+    u, v = (lo + 1, lo) if swap else (lo, lo + 1)
+    _labels_match_on_arcs(length + 3, u, v)
+
+
+def test_component_labels_on_random_trees_with_permuted_ids():
+    rng = np.random.default_rng(41)
+    for _ in range(30):
+        n = int(rng.integers(2, 400))
+        child = np.arange(1, n)
+        if rng.random() < 0.5:
+            above = rng.integers(0, child)                            # shallow
+        else:
+            above = np.maximum(child - rng.integers(1, 4, n - 1), 0)  # deep
+        keep = rng.random(n - 1) < 0.9                                 # a forest
+        ids = rng.permutation(n)
+        order = rng.permutation(int(keep.sum()))
+        _labels_match_on_arcs(n, ids[child[keep]][order], ids[above[keep]][order])
+
+
+def test_component_labels_on_disjoint_unions_of_different_depths():
+    # graph b of the union sits on nodes b*n..b*n+n-1, as in a trial batch;
+    # graph b is a path of b*9 nodes with a random forest hung below it
+    rng = np.random.default_rng(5)
+    n, graphs = 100, 11
+    us, vs, sizes = [], [], []
+    for b in range(graphs):
+        child = np.arange(1, n)
+        above = np.where(child < b * 9, child - 1, rng.integers(0, child))
+        keep = rng.random(n - 1) < 0.95
+        gu, gv = child[keep], above[keep]
+        sizes.append(_reference_sizes(range(n), zip(gu.tolist(), gv.tolist())))
+        ids = rng.permutation(n)
+        us.append(ids[gu] + b * n)
+        vs.append(ids[gv] + b * n)
+    u, v = np.concatenate(us), np.concatenate(vs)
+    order = rng.permutation(u.size)
+    _labels_match_on_arcs(n * graphs, u[order], v[order])
+    assert _cmax_per_graph(n, n * graphs, u, v).tolist() == [s[0] for s in sizes]
+
+
+@pytest.mark.parametrize("n,mu,k,d", [
+    (30, 0.5, 2, 0), (30, 0.5, 2, 10), (500, 0.9, 2, 20), (500, 0.99, 2, 0),
+    (1000, 0.9, 2, 200), (300, 0.5, 5, 100),
+])
+def test_component_labels_on_k_out_arcs_without_deleted_ends(n, mu, k, d):
+    # the arcs a trial batch labels: every pick, less those with a deleted end
+    rng = np.random.default_rng(n + d)
+    for _ in range(5):
+        g = construct_r_type(two_type_params(n, mu, k), rng)
+        u, v = g.arcs
+        dead = rng.choice(n, size=d, replace=False)
+        alive = np.ones(n, dtype=bool)
+        alive[dead] = False
+        keep = alive[u] & alive[v]
+        labels = _labels_match_on_arcs(n, u[keep], v[keep], dead.tolist())
+        assert np.array_equal(labels[dead], dead)
+
+
+def test_component_labels_properties():
+    hyp = pytest.importorskip("hypothesis")
+    st = hyp.strategies
+
+    @hyp.settings(max_examples=300, deadline=None, database=None)
+    @hyp.given(st.data())
+    def check(data):
+        n = data.draw(st.integers(1, 60))
+        arcs = data.draw(st.lists(st.tuples(st.integers(0, n - 1),
+                                            st.integers(0, n - 1)),
+                                  max_size=2 * n))
+        u = np.array([a for a, _ in arcs], dtype=np.int64)
+        v = np.array([b for _, b in arcs], dtype=np.int64)
+        labels = _labels_match_on_arcs(n, u, v)
+        order = np.array(data.draw(st.permutations(range(len(arcs)))),
+                         dtype=np.int64)
+        assert np.array_equal(component_labels(n, u[order], v[order]), labels)
+        assert np.array_equal(component_labels(n, v, u), labels)
+
+    check()
 
 
 def test_connected_components_agree_with_bfs():
