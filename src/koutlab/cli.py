@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import argparse
 import ast
+import dataclasses
 import json
 import math
 import os
@@ -29,69 +30,50 @@ from .errors import ParameterError
 from .experiments import ExperimentConfig, render_csv, render_json, run_sweep
 from .graph_model import GraphParams, construct_r_type, delete_random_nodes, two_type_params
 
-_CONFIG_KEYS = {
-    "sweep_param", "sweep_values", "n", "mu", "k", "d", "trials", "seed",
-    "out", "overlays", "overlay_m", "overlay_x", "overlay_eps", "format",
-}
+# a config file sets ExperimentConfig's fields, plus the stdout format
+_CONFIG_KEYS = {field.name for field in dataclasses.fields(ExperimentConfig)} | {"format"}
 
 
 # ---------------------------------------------------------------------------
 # config files: flat key-value documents
 
 
-def _strip_comment(line):
-    out = []
-    quote = None
-    for ch in line:
-        if quote is not None:
-            if ch == quote:
-                quote = None
-        elif ch in "\"'":
-            quote = ch
-        elif ch == "#":
-            break
-        out.append(ch)
-    return "".join(out)
-
-
-def _parse_value(text, where):
-    text = text.strip()
-    low = text.lower()
-    if low == "true":
-        return True
-    if low == "false":
-        return False
-    try:
-        value = ast.literal_eval(text)
-    except (ValueError, SyntaxError):
-        raise ParameterError(f"{where}: cannot parse value {text!r}") from None
-    if isinstance(value, tuple):
-        value = list(value)
-    return value
-
-
 def load_config_file(path) -> dict:
     """Read a flat key-value config: one `key = value` per line.
 
-    Values follow TOML-style scalar syntax: quoted strings, integers,
-    floats, true/false, and flat [a, b, c] lists; '#' starts a comment.
+    Each line is read by Python's parser and must be one assignment to
+    a known key; '#' starts a comment.  Values are literals: quoted
+    strings, integers, floats, true/false (in any case) and flat
+    [a, b, c] lists (a tuple becomes a list).
     """
     data = {}
     try:
         lines = open(path, encoding="utf-8").read().splitlines()
-    except OSError as err:
+    except (OSError, UnicodeDecodeError) as err:
         raise ParameterError(f"cannot read config file: {err}") from None
-    for lineno, raw in enumerate(lines, 1):
-        line = _strip_comment(raw).strip()
-        if not line:
+    for lineno, line in enumerate(lines, 1):
+        where, line = f"{path}:{lineno}", line.strip()
+        try:
+            body = ast.parse(line).body
+        except (SyntaxError, ValueError, RecursionError, MemoryError):
+            body = None  # not Python: a null byte is a ValueError, deep nesting the last two
+        match body:
+            case []:  # blank or comment
+                continue
+            case [ast.Assign(targets=[ast.Name(id=key)], value=node)]:
+                if key not in _CONFIG_KEYS:
+                    raise ParameterError(f"{where}: unknown key {key!r}")
+            case _:
+                raise ParameterError(f"{where}: expected `key = value`")
+        if isinstance(node, ast.Name) and node.id.lower() in ("true", "false"):
+            data[key] = node.id.lower() == "true"
             continue
-        key, eq, rhs = line.partition("=")
-        key = key.strip()
-        if not eq or not key:
-            raise ParameterError(f"{path}:{lineno}: expected `key = value`")
-        if key not in _CONFIG_KEYS:
-            raise ParameterError(f"{path}:{lineno}: unknown key {key!r}")
-        data[key] = _parse_value(rhs, f"{path}:{lineno}")
+        try:
+            value = ast.literal_eval(node)
+        except (ValueError, TypeError):  # TypeError: an unhashable set item or dict key
+            raise ParameterError(f"{where}: cannot parse value "
+                                 f"{ast.get_source_segment(line, node)!r}") from None
+        data[key] = list(value) if isinstance(value, tuple) else value
     return data
 
 
@@ -172,40 +154,34 @@ def cmd_sample(args) -> int:
     seed = _resolve_seed(args.seed)
     rng = np.random.default_rng(seed)
     g = construct_r_type(params, rng)
-    deleted = ()
-    view = g
-    if args.d:
-        spec, view = delete_random_nodes(g, args.d, rng)
-        deleted = spec.nodes
+    view = delete_random_nodes(g, args.d, rng)[1] if args.d else g
     report = connected_components(view)
-    eu, ev = g.edge_arrays()
+    payload = {
+        "n": params.n,
+        "type_probs": list(params.type_probs),
+        "type_selections": list(params.type_selections),
+        "d": args.d,
+        "seed": seed,
+        "node_types": g.node_types.tolist(),
+        "deleted": sorted(view.deleted),
+        "edges": np.column_stack(g.edge_arrays()).tolist(),
+        "component_sizes": list(report.component_sizes),
+        "cmax": report.cmax,
+        "outside_count": report.outside_count,
+    }
     if args.format == "json":
-        payload = {
-            "n": params.n,
-            "type_probs": list(params.type_probs),
-            "type_selections": list(params.type_selections),
-            "d": args.d,
-            "seed": seed,
-            "node_types": g.node_types.tolist(),
-            "deleted": list(deleted),
-            "edges": [[int(u), int(v)] for u, v in zip(eu, ev)],
-            "component_sizes": list(report.component_sizes),
-            "cmax": report.cmax,
-            "outside_count": report.outside_count,
-        }
-        _emit(json.dumps(payload, indent=2, sort_keys=True) + "\n", args.out)
+        text = json.dumps(payload, indent=2, sort_keys=True)
     else:
-        lines = [
-            f"# sample n={params.n} mu={','.join(repr(p) for p in params.type_probs)}"
-            f" K={','.join(str(k) for k in params.type_selections)}"
-            f" d={args.d} seed={seed}",
-            "# types " + " ".join(str(int(t)) for t in g.node_types),
-            "# deleted " + (" ".join(str(x) for x in deleted) if deleted else "-"),
-            "# component_sizes " + " ".join(str(s) for s in report.component_sizes),
-            f"# cmax {report.cmax} outside {report.outside_count}",
-        ]
-        lines += [f"{int(u)} {int(v)}" for u, v in zip(eu, ev)]
-        _emit("\n".join(lines) + "\n", args.out)
+        text = "\n".join([
+            f"# sample n={payload['n']} mu={','.join(map(repr, payload['type_probs']))}"
+            f" K={','.join(map(str, payload['type_selections']))}"
+            f" d={payload['d']} seed={payload['seed']}",
+            "# types " + " ".join(map(str, payload["node_types"])),
+            "# deleted " + (" ".join(map(str, payload["deleted"])) or "-"),
+            "# component_sizes " + " ".join(map(str, payload["component_sizes"])),
+            f"# cmax {payload['cmax']} outside {payload['outside_count']}",
+        ] + [f"{u} {v}" for u, v in payload["edges"]])
+    _emit(text + "\n", args.out)
     return 0
 
 
@@ -336,46 +312,37 @@ def cmd_oracle(args) -> int:
     if len(chosen) != 1:
         raise ParameterError("give exactly one of --r (cut probability), "
                              "--m (union bound), --x (deleted union bound)")
+    model = f"n={args.n} mu={_num(args.mu)} K={args.k}"
+    payload = {"n": args.n, "mu": args.mu, "K": args.k, "d": args.d, "mode": args.mode}
     if args.r is not None:
         if args.d:
             value = oracle.exact_cut_probability_deleted(
                 args.n, args.mu, args.k, args.d, args.r, mode=args.mode)
-            desc = f"cut probability n={args.n} mu={_num(args.mu)} K={args.k} d={args.d} r={args.r}"
+            model += f" d={args.d}"
         else:
-            value = oracle.exact_cut_probability(
-                args.n, args.mu, args.k, args.r, mode=args.mode)
-            desc = f"cut probability n={args.n} mu={_num(args.mu)} K={args.k} r={args.r}"
-        if args.format == "json":
-            _emit(json.dumps({"n": args.n, "mu": args.mu, "K": args.k, "d": args.d,
-                              "r": args.r, "mode": args.mode, "value": value},
-                             sort_keys=True) + "\n", args.out)
-        else:
-            _emit(f"{desc} [{args.mode}]: {value!r}\n", args.out)
-        return 0
-    if args.m is not None:
-        if args.d:
-            raise ParameterError("--m takes no --d; use --x for the deleted union bound")
-        ev = oracle.union_bound_sum(args.n, args.mu, args.k, args.m, mode=args.mode)
-        label, low = "M", args.m
+            value = oracle.exact_cut_probability(args.n, args.mu, args.k, args.r, mode=args.mode)
+        payload.update(r=args.r, value=value)
+        text = f"cut probability {model} r={args.r} [{args.mode}]: {value!r}"
     else:
-        ev = oracle.union_bound_sum_deleted(args.n, args.mu, args.k, args.d, args.x,
-                                            mode=args.mode)
-        label, low = "x", args.x
+        if args.m is not None:
+            if args.d:
+                raise ParameterError("--m takes no --d; use --x for the deleted union bound")
+            ev = oracle.union_bound_sum(args.n, args.mu, args.k, args.m, mode=args.mode)
+            label, low = "M", args.m
+        else:
+            ev = oracle.union_bound_sum_deleted(args.n, args.mu, args.k, args.d, args.x,
+                                                mode=args.mode)
+            label, low = "x", args.x
+        payload.update({label: low, "value": ev.value, "raw_sum": _finite_or_none(ev.raw_sum),
+                        "terms": ev.terms, "r_start": ev.r_start})
+        text = (f"union bound {model} d={args.d} {label}={low} [{args.mode}]: "
+                f"value={ev.value!r} raw_sum={ev.raw_sum!r} terms={ev.terms.size}")
     if args.format == "json":
-        # strict JSON has no Infinity: a sum or term beyond float64 is null
-        payload = {"n": args.n, "mu": args.mu, "K": args.k, "d": args.d, label: low,
-                   "mode": ev.arithmetic_mode, "value": ev.value,
-                   "raw_sum": _finite_or_none(ev.raw_sum),
-                   "terms": [_finite_or_none(t) for t in ev.terms.tolist()],
-                   "r_start": ev.r_start}
-        _emit(json.dumps(payload, sort_keys=True) + "\n", args.out)
-    else:
-        _emit(
-            f"union bound n={args.n} mu={_num(args.mu)} K={args.k} d={args.d} "
-            f"{label}={low} [{ev.arithmetic_mode}]: value={ev.value!r} "
-            f"raw_sum={ev.raw_sum!r} terms={ev.terms.size}\n",
-            args.out,
-        )
+        # strict JSON has no Infinity: a sum or term beyond float64 is null;
+        # the terms array is listed only here, where it is printed
+        text = json.dumps(payload, sort_keys=True,
+                          default=lambda a: [_finite_or_none(t) for t in a.tolist()])
+    _emit(text + "\n", args.out)
     return 0
 
 

@@ -5,9 +5,9 @@ and edge_arrays(), such as a KoutGraph with or without deleted nodes.
 The cut-range queries also read the graph's components, its
 ComponentReport; a KoutGraph labels itself once and keeps it, so asking
 one graph about many ranges labels it once.  A cut is a nonempty proper
-subset of the surviving nodes with no edge to its complement.  Every union of whole components is a cut and every cut
-is such a union, which is what makes the subset-sum test in
-has_cut_in_range exact.
+subset of the surviving nodes with no edge to its complement.  The cuts
+are exactly the nonempty proper unions of whole components, so the
+subset-sum test in has_cut_in_range is exact.
 
 Two labelers live here.  component_labels sizes every realized graph:
 the batched trials and connected_components, and so every cut query

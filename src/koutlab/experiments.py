@@ -24,8 +24,8 @@ import numpy as np
 
 from .component_analysis import component_labels
 from .errors import ParameterError
-from .graph_model import (GraphParams, construct_r_type, couple_extend, draw_trial,
-                          two_type_params, types_from_uniforms, union_arcs)
+from .graph_model import (GraphParams, construct_r_type, couple_extend, draw_deleted,
+                          draw_trial, two_type_params, types_from_uniforms, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
 from .oracle import union_bound_sum
@@ -154,9 +154,9 @@ def _batch_cmax(params, d, rng, keys) -> np.ndarray:
     """cmax of the trials with these keys, labeled as one disjoint union.
 
     One generator serves every trial: it is rekeyed, then draws the
-    trial (draw_trial) and, with d > 0, the deleted nodes as
-    delete_random_nodes does.  Everything else runs on the whole batch;
-    trial b's nodes are offset by b*n.
+    trial (draw_trial) and, with d > 0, the deleted nodes (draw_deleted).
+    Everything else runs on the whole batch; trial b's nodes are offset
+    by b*n.
     """
     n = params.n
     xs, blocks, dead = [], [], []
@@ -166,7 +166,7 @@ def _batch_cmax(params, d, rng, keys) -> np.ndarray:
         xs.append(x)
         blocks.append(picks)
         if d:
-            dead.append(rng.choice(n, size=d, replace=False))
+            dead.append(draw_deleted(n, d, rng))
     u, v = union_arcs(params, types_from_uniforms(params, np.stack(xs)),
                       [np.concatenate(c) for c in zip(*blocks)])
     nodes = len(keys) * n
@@ -311,9 +311,13 @@ class ExperimentConfig:
         if not 0.0 < self.overlay_eps < math.inf:
             raise ParameterError(f"overlay_eps must be a finite number > 0, "
                                  f"got {self.overlay_eps!r}")
+        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
+            raise ParameterError(f"out must be a path, got {self.out!r}")
+        if not hasattr(self.overlays, "__iter__"):
+            raise ParameterError(f"overlays must be a list of names, got {self.overlays!r}")
         names = []
         for name in self.overlays:
-            names.append(_KIND_ALIASES.get(name, name))
+            names.append(_KIND_ALIASES.get(name, name) if isinstance(name, str) else name)
             if names[-1] not in _OVERLAYS:
                 raise ParameterError(f"unknown overlay {name!r}")
         object.__setattr__(self, "overlays", tuple(names))

@@ -288,6 +288,16 @@ def draw_trial(params: GraphParams, rng):
     return x, blocks
 
 
+def draw_deleted(n, d, rng) -> np.ndarray:
+    """The d distinct nodes of 0..n-1 that a trial deletes, in draw order.
+
+    The single home of the deletion draw: delete_random_nodes and the
+    sweep engine both make this one call right after draw_trial, so
+    they consume the same stream.
+    """
+    return rng.choice(n, size=d, replace=False)
+
+
 def union_arcs(params: GraphParams, types, blocks) -> tuple[np.ndarray, np.ndarray]:
     """The arcs (src, picked node) of B draws, as one graph on B*n nodes.
 
@@ -325,8 +335,7 @@ def delete_random_nodes(g: KoutGraph, d, rng):
     d = int(d)
     if not 0 <= d < g.n:
         raise ParameterError("deletion count must satisfy 0 <= d < n")
-    rng = as_generator(rng)
-    chosen = np.sort(rng.choice(g.n, size=d, replace=False))
+    chosen = np.sort(draw_deleted(g.n, d, as_generator(rng)))
     spec = DeletionSpec(d=d, nodes=tuple(int(x) for x in chosen))
     return spec, replace(g, deleted=frozenset(spec.nodes))
 

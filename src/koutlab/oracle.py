@@ -301,7 +301,7 @@ class EnumeratedRealization:
         return len(self.component_sizes) == 1
 
     def is_cut(self, subset):
-        s = frozenset(subset) - self.deleted
+        s = frozenset(subset)
         survivors = set(self.surviving())
         if not s or not s <= survivors or len(s) == len(survivors):
             raise ParameterError("cut subset must be a nonempty proper subset of the survivors")

@@ -2,7 +2,7 @@
 
 Run with `pytest -v tests/test_acceptance.py` to get one pass/fail line
 per criterion.  Each test prints its measured figures and asserts its
-runtime cap.  Criteria 1, 2, 6, 7 and 8 run the check functions of
+runtime cap.  Criteria 1, 2, 3, 6, 7 and 8 run the check functions of
 koutlab.validate, which hold their tolerances; the quick validate
 suites run the same checks at smaller sizes.
 """
@@ -10,11 +10,12 @@ suites run the same checks at smaller sizes.
 import time
 
 from koutlab.bounds import heuristic_giant_lower_bound, mean_degree
-from koutlab.experiments import (ExperimentConfig, run_point, run_sweep,
-                                 trial_stream)
+from koutlab.experiments import (ExperimentConfig, collect_cmax, run_point,
+                                 run_sweep, trial_stream)
 from koutlab.graph_model import construct_r_type, two_type_params
-from koutlab.validate import (check_coupling, check_cut_implication,
-                              check_er_fixed_point, check_oracle_agreement,
+from koutlab.validate import (OUTSIDE_GATE_PARAMS, check_coupling,
+                              check_cut_implication, check_er_fixed_point,
+                              check_oracle_agreement, check_outside_gate,
                               check_union_bound_soundness)
 
 SEED = 20240819
@@ -40,13 +41,11 @@ def test_c02_cut_range_implication_holds_everywhere():
 
 def test_c03_largest_component_band_at_n1000():
     t0 = time.perf_counter()
-    params = two_type_params(1000, 0.9, 2)
-    summary = run_point(params, 0, 10_000, seed=SEED, point_index=3,
-                        workers=1)
+    cm = collect_cmax(OUTSIDE_GATE_PARAMS, 0, 10_000, SEED, point_index=3, workers=1)
+    result = check_outside_gate(cm)
     elapsed = time.perf_counter() - t0
-    print(f"criterion 3: n=1000, max_outside = {summary.max_outside} "
-          f"(cap 90), {elapsed:.1f}s")
-    assert summary.max_outside <= 90
+    print(f"criterion 3: {result.detail}, {elapsed:.1f}s")
+    assert result.passed
     assert elapsed < 120.0
 
 

@@ -233,6 +233,30 @@ def test_config_parser_values(tmp_path):
         load_config_file(str(bad))
 
 
+def test_config_lines_are_python_assignments(tmp_path):
+    conf = tmp_path / "t.conf"
+    conf.write_text(
+        "  format = TRUE\n"
+        "sweep_values = 1, 2  # a tuple becomes a list\n"
+        'out = "a\\"#b"\n'  # an escaped quote does not end the string
+    )
+    assert load_config_file(str(conf)) == {
+        "format": True, "sweep_values": [1, 2], "out": 'a"#b'}
+    for lineno, line in enumerate(["n = 3; d = 2", "n = {[1]: 2}", "n: int = 3"], 2):
+        bad = tmp_path / "bad.conf"
+        bad.write_text("# fine\n" * (lineno - 1) + line + "\n")
+        with pytest.raises(ParameterError, match=re.escape(f"{bad}:{lineno}: ")):
+            load_config_file(str(bad))
+
+
+def test_config_file_that_is_not_utf8_exits_two(capsys, tmp_path):
+    conf = tmp_path / "latin1.conf"
+    conf.write_bytes(b'out = "caf\xe9"\n')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(conf))
+    assert code == 2 and out == ""
+    assert "cannot read config file" in err
+
+
 def test_bounds_er(capsys):
     code, out, _ = run_cli(capsys, "bounds", "--kind", "er", "--c", "2.2")
     assert code == 0
@@ -357,6 +381,62 @@ _BOUNDS_STDOUT_HASHES = [
 def test_bounds_stdout_bytes_are_pinned(capsys, argv, text_sha, json_sha):
     for fmt, sha in (("text", text_sha), ("json", json_sha)):
         code, out, err = run_cli(capsys, "bounds", *argv, "--format", fmt)
+        assert code == 0 and err == ""
+        assert hashlib.sha256(out.encode()).hexdigest() == sha, out
+
+
+# sha256 of `koutlab oracle` and `koutlab sample` stdout (text, then json),
+# recorded from the renderers that kept a separate text and json branch per
+# query: cut probability with and without --d, union bound, deleted union
+# bound (the last one beyond float64), each in log and direct mode
+_QUERY_STDOUT_HASHES = [
+    (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--r", "3"],
+     "2a091b84d0fa76af3ae0724ae4be639587f44c74da87ba38597e96d8df28ac4e",
+     "85d5d53172910d13300bfa8acf23b37c27729f37b01aa6be7729d566de1c7c79"),
+    (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--r", "3", "--mode", "direct"],
+     "b141394d9be3a3020c32fe2e0370aae16754bc9ea32d33389fac1242d26a056c",
+     "6641710dd7ab9a0a1b41cb0bc34d677c35bc1b76facac6502a8ffdab4aabcd06"),
+    (["oracle", "--n", "30", "--mu", "0.9", "--k", "3", "--d", "4", "--r", "5"],
+     "d28886eb25fd64b3f6d6afa45a0551bfbac07df426da71a4d7d7ea06f5f122a4",
+     "b9e4112c73eb4ce1cc5117f2761ead262f6b229ad3cb1816e72533a7d95d1ad2"),
+    (["oracle", "--n", "30", "--mu", "0.9", "--k", "3", "--d", "4", "--r", "5",
+      "--mode", "direct"],
+     "bbce262e24a707a310dffc07abf947d5442f7835e10dd12a1a46b83090f39f4d",
+     "d9c760e301e7872f2b5d10d94c9313cc737314331e3d8b45b881e3f72c31e2bf"),
+    (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--m", "2"],
+     "4e0641ab6b6636ef96591afe026c85bb5f7caff4cf03c812a26290b12e3a43fb",
+     "c18f8d56f586d9a8b5809aadc1bdb1f3a66c91e8e45be9fb2395b4a04dfe4d77"),
+    (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--m", "2", "--mode", "direct"],
+     "6069019ec22c22c1ef071fd2cf6499a1dcca198673681dae85d904b4ee69799c",
+     "2947a50d5ff5af9766a206fdce1525cdb9dd476067ac6e84d3c17990bc5820e0"),
+    (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--d", "3", "--x", "3"],
+     "758ea409b597a5909ca122f0c499f1ea904656fc95a26a3ad285ef663511c5ee",
+     "47a6cf8f1ea8808ccb05662f9382016be0223202d59034357f5380b762f07705"),
+    (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--d", "3", "--x", "3",
+      "--mode", "direct"],
+     "e83c9ace09a14b14c2cade34e9a3444a47f7cbb64bf82c490459dc5e46f603ed",
+     "4070591d23d75a7c1f56443cc71e42f4941ac38618673638ee65c20a841032b5"),
+    (["oracle", "--n", "9000", "--mu", "0.5", "--k", "2", "--d", "5000", "--x", "1"],
+     "7859490050931d37fe6967a8b11530eca68151fc448712d4ac19a0c95ecdac74",
+     "8b580ac8490a68ef4f4641465411564de95b6cf83ceecd1aa072c8982a964182"),
+    (["sample", "--n", "12", "--k", "3", "--seed", "9"],
+     "ff1b0af0eb22a4d5771ad388d2b0f1e29e0a15658eae7e6c5145edbf82c7d002",
+     "89110813e6d1cee2d370266a723370f4f1f5d4db219aa796e5eacc2f970c1e7b"),
+    (["sample", "--n", "40", "--mu", "0.9", "--k", "2", "--d", "5", "--seed", "1"],
+     "eed4c96a83e0e4819b9e6978f212270b13932375f779c4181888e9aa26176206",
+     "000e9da6c65e182a6a15a59b5341a94146cbeb9ff5e10e777e355b62ea82bec3"),
+    (["sample", "--n", "40", "--mu-vec", "0.5,0.3,0.2", "--k-vec", "1,2,4", "--seed", "4"],
+     "77669a7d7c573de81fb1c003b05c20f69732133b0b11a41f4f3d23070417b6fd",
+     "2da49cc17d17e68e8aaa2807093aa6ab1fe50632efcb8278ff554a08f5e2e1dd"),
+]
+
+
+@pytest.mark.parametrize("argv, text_sha, json_sha", _QUERY_STDOUT_HASHES,
+                         ids=["-".join(tok.lstrip("-") for tok in case[0][:1] + case[0][-4:])
+                              for case in _QUERY_STDOUT_HASHES])
+def test_oracle_and_sample_stdout_bytes_are_pinned(capsys, argv, text_sha, json_sha):
+    for fmt, sha in (("text", text_sha), ("json", json_sha)):
+        code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == sha, out
 

@@ -229,6 +229,12 @@ def test_deleted_cut_probability_agrees_with_enumeration():
     assert abs(closed - conditional) < 1e-12
 
 
+def test_enumerated_cut_rejects_deleted_nodes():
+    # as component_analysis.is_cut does; node 0 is deleted in some outcomes
+    with pytest.raises(ParameterError, match="subset of the survivors"):
+        exhaustive_event_probability(4, 0.5, 2, 1, lambda g: g.is_cut({0, 1}))
+
+
 def test_deleted_reduces_to_plain_at_d_zero():
     for n in (6, 15, 40):
         for r in (1, 2, n // 2):
