@@ -97,7 +97,7 @@ def _resolve_seed(seed):
     # a missing seed is drawn once and echoed so the run stays reproducible
     if seed is None:
         return secrets.randbits(63)
-    if not isinstance(seed, int) or seed < 0:
+    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
         raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
     return seed
 

@@ -344,9 +344,11 @@ class ExperimentConfig:
 
 
 def _number(value, kind, what):
-    """value as kind (int or float); a ParameterError names what otherwise."""
+    """value as kind (int or float); a ParameterError names what otherwise.
+
+    A bool is refused: true and false are not counts or probabilities."""
     try:
-        number = kind(value)
+        number = None if isinstance(value, bool) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
     if number is None or (kind is int and isinstance(value, float) and number != value):

@@ -3,15 +3,16 @@
 The closed forms here give the probability that a fixed r-node subset
 is a cut (no edge to its complement), optionally after deleting d
 uniformly random nodes, together with the union-bound sums over all
-subset sizes in [M, n/2].  Everything is evaluated in log domain by
-default so n up to 10^6 neither overflows nor underflows; a direct
-float64 mode exists for cross-checking at small n.  Log mode inherits
-about 1e-4 relative error at n=10^6 (about 4e-9 at n=5000) from
-cancellation between math.lgamma log-factorials; each per-r term comes
-from one vectorized kernel, _cut_kernel.  Log mode evaluates the union
-bound in blocks of subset sizes and skips each block whose terms
-provably underflow to 0.0, so its output is the same as evaluating
-every block; direct mode skips nothing.
+subset sizes in [M, n/2], for n up to 10^7.  Everything is evaluated in
+log domain by default so n up to 10^6 neither overflows nor underflows;
+a direct float64 mode exists for cross-checking at small n.  Log mode
+inherits about 1e-4 relative error at n=10^6 (about 4e-9 at n=5000)
+from cancellation between math.lgamma log-factorials.  Every per-r
+term comes from one vectorized kernel, _cut_kernel, run on blocks of
+consecutive subset sizes.  Log mode first bounds every block of the
+union bound with one kernel call at the block ends, then evaluates only
+the blocks whose terms do not provably underflow to 0.0, so its output
+is the same as evaluating every block; direct mode skips nothing.
 
 exhaustive_event_probability enumerates every joint selection outcome
 (and every deletion set) on graphs of at most 7 nodes, aggregating
@@ -25,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations
+from itertools import combinations, compress
 from math import comb, exp, lgamma
 
 import numpy as np
@@ -34,6 +35,7 @@ from .component_analysis import _reference_sizes
 from .errors import ParameterError
 
 _MAX_ENUM_NODES = 7
+_MAX_BOUND_N = 10**7  # keeps a union-bound sum's terms array within 40 MB
 
 
 def _check_common(n, mu, k):
@@ -78,31 +80,30 @@ def _lgamma_rows(starts, size):
     return rows
 
 
-def _cut_kernel(n, mu, k, d, r):
+def _cut_kernel(n, mu, k, d, starts, width):
     """The per-r pieces of P[a fixed r-subset of the n-d survivors is a cut].
 
-    r is a block of consecutive int64 subset sizes.  Each of the n-d-r
-    surviving outside nodes must select entirely outside the subset (pool
-    m_out = n-r-1) and each of the r inside nodes entirely inside it or
-    the deleted set (pool m_in = r+d-1), so the probability is
+    Row i covers the width subset sizes from starts[i] up.  Each of the
+    n-d-r surviving outside nodes must select entirely outside the subset
+    (pool m_out = n-r-1) and each of the r inside nodes entirely inside it
+    or the deleted set (pool m_in = r+d-1), so the probability is
     f_in**r * f_out**(n-d-r), where f(m) is the type-marginalized chance
     that a node's whole selection set lands in a given m-node pool:
     mu * m/(n-1) + (1-mu) * C(m,K)/C(n-1,K), with C(m,K) = 0 for m < K.
 
-    Returns (f_in, f_out, log_power, log_term): log_power is
-    r*log f_in + (n-d-r)*log f_out (-inf where a factor is 0) and
-    log_term is log C(n-d, r) + r*log f_in + (n-d-r)*log f_out, summed
+    Returns (f_in, f_out, log_power, log_term), one row per start:
+    log_power is r*log f_in + (n-d-r)*log f_out (-inf where a factor is 0)
+    and log_term is log C(n-d, r) + r*log f_in + (n-d-r)*log f_out, summed
     left to right; the order fixes the last bits of the union-bound
     terms.  Every log-factorial is math.lgamma of an integer, read from
     spans that evaluate each integer once.
     """
-    size = r.size
-    a = int(r[0])
-    b = a + size
-    lg = _lgamma_rows([a + 1, a + d, a + d - k,
-                       n - b + 1, n - b + 1 - k, n - d - b + 2], size)
-    lg_r, lg_in, lg_in_k = lg[:3]                # r+1, m_in+1, m_in-k+1
-    lg_out, lg_out_k, lg_rest = lg[3:, ::-1]     # m_out+1, m_out-k+1, n-d-r+1
+    r = np.array(starts, dtype=np.int64)[:, None] + np.arange(width)
+    lg = _lgamma_rows([a + i for i in (1, d, d - k) for a in starts]
+                      + [n - a - width + i for i in (1, 1 - k, 2 - d) for a in starts],
+                      width).reshape(6, len(starts), width)
+    lg_r, lg_in, lg_in_k = lg[:3]                   # r+1, m_in+1, m_in-k+1
+    lg_out, lg_out_k, lg_rest = lg[3:, :, ::-1]     # m_out+1, m_out-k+1, n-d-r+1
     lg_k = lgamma(k + 1)
     lb_pool = lgamma(n) - lg_k - lgamma(n - k)  # log C(n-1, K)
 
@@ -110,8 +111,8 @@ def _cut_kernel(n, mu, k, d, r):
         single = mu * m / (n - 1)
         # math.exp, not np.exp: numpy's SIMD exp can differ by an ulp, and
         # f_out**(n-d-r) multiplies that relative error by up to n
-        ratio = np.fromiter(map(exp, (lg_m - lg_k - lg_m_k - lb_pool).tolist()),
-                            float, size)
+        ratio = np.fromiter(map(exp, (lg_m - lg_k - lg_m_k - lb_pool).ravel().tolist()),
+                            float, r.size).reshape(r.shape)
         return np.where(m >= k, single + (1.0 - mu) * ratio, single)
 
     f_in = mix(r + d - 1, lg_in, lg_in_k)
@@ -124,11 +125,10 @@ def _cut_kernel(n, mu, k, d, r):
 
 def _cut_probability(n, mu, k, d, r, mode):
     _check_mode(mode)
-    f_in, f_out, log_power, _ = _cut_kernel(n, mu, k, d,
-                                            np.array([r], dtype=np.int64))
+    f_in, f_out, log_power, _ = _cut_kernel(n, mu, k, d, [r], 1)
     if mode == "direct":
-        return float(f_in[0] ** r * f_out[0] ** (n - d - r))
-    return exp(log_power[0])
+        return float(f_in[0, 0] ** r * f_out[0, 0] ** (n - d - r))
+    return exp(log_power[0, 0])
 
 
 def exact_cut_probability(n, mu, k, r, mode="log") -> float:
@@ -222,42 +222,41 @@ def _binomials(a, r):
 _UNDERFLOW_LOG = -800.0
 
 
-def _block_log_bound(n, mu, k, d, a, b):
-    """An upper bound on _cut_kernel's log_term for every r in [a, b].
-
-    Needs b <= (n-d)/2, so that C(n-d, r) <= C(n-d, b).  f_in rises with
-    r and is at most 1, so f_in(r)**r <= f_in(b)**a; f_out falls with r,
-    so f_out(r)**(n-d-r) <= f_out(a)**(n-d-b).  Both factors come from
-    one-element kernel calls.
-    """
-    f_in = _cut_kernel(n, mu, k, d, np.array([b], dtype=np.int64))[0][0]
-    f_out = _cut_kernel(n, mu, k, d, np.array([a], dtype=np.int64))[1][0]
+def _block_log_bounds(n, mu, k, d, starts, ends):
+    """Upper bounds on _cut_kernel's log_term over each block [a, b] of
+    subset sizes, a in starts and b in ends, from one kernel call at every
+    b and a.  Needs b <= (n-d)/2, so that C(n-d, r) <= C(n-d, b).  f_in
+    rises with r and is at most 1, so f_in(r)**r <= f_in(b)**a; f_out
+    falls with r, so f_out(r)**(n-d-r) <= f_out(a)**(n-d-b)."""
+    f_in, f_out, _, _ = _cut_kernel(n, mu, k, d, ends + starts, 1)
+    a, b = np.array(starts), np.array(ends)
+    log_binom = [lgamma(n - d + 1) - lgamma(e + 1) - lgamma(n - d - e + 1) for e in ends]
     with np.errstate(divide="ignore"):
-        return (lgamma(n - d + 1) - lgamma(b + 1) - lgamma(n - d - b + 1)
-                + a * np.log(f_in) + (n - d - b) * np.log(f_out))
+        return log_binom + a * np.log(f_in[:b.size, 0]) + (n - d - b) * np.log(f_out[b.size:, 0])
 
 
 def _bound_sum(n, mu, k, d, lo, mode):
     """Direct mode evaluates every block.  Log mode leaves at 0.0 each
-    block whose _block_log_bound shows that every term underflows, so its
-    output matches the unskipped sum bit for bit.  The first block is
-    never checked: a sum of one block costs what it did before."""
+    block whose _block_log_bounds entry shows that every term underflows,
+    so its output matches the unskipped sum bit for bit."""
     _check_mode(mode)
+    if n > _MAX_BOUND_N:
+        raise ParameterError(f"union-bound sums are limited to n <= {_MAX_BOUND_N}")
     hi = (n - d) // 2
+    starts = list(range(lo, hi + 1, _BLOCK))
+    ends = [min(a + _BLOCK, hi + 1) - 1 for a in starts]
+    keep = (_block_log_bounds(n, mu, k, d, starts, ends) >= _UNDERFLOW_LOG
+            if mode == "log" else [True] * len(starts))
     terms = np.zeros(hi - lo + 1)
-    for a in range(lo, hi + 1, _BLOCK):
-        b = min(a + _BLOCK, hi + 1) - 1
-        if (mode == "log" and a > lo
-                and _block_log_bound(n, mu, k, d, a, b) < _UNDERFLOW_LOG):
-            continue
-        r = np.arange(a, b + 1, dtype=np.int64)
-        f_in, f_out, _, log_term = _cut_kernel(n, mu, k, d, r)
-        block = terms[a - lo:a - lo + r.size]
+    for a, b in compress(zip(starts, ends), keep):
+        f_in, f_out, _, log_term = _cut_kernel(n, mu, k, d, [a], b - a + 1)
+        block = terms[a - lo:b - lo + 1]
         if mode == "direct":
-            block[:] = _binomials(n - d, r) * f_in ** r * f_out ** (n - d - r)
+            r = np.arange(a, b + 1, dtype=np.int64)
+            block[:] = _binomials(n - d, r) * f_in[0] ** r * f_out[0] ** (n - d - r)
         else:
             with np.errstate(over="ignore"):
-                block[:] = np.exp(log_term)
+                block[:] = np.exp(log_term[0])
     raw = float(terms.sum())
     return BoundEvaluation(value=min(max(raw, 0.0), 1.0), raw_sum=raw,
                            terms=terms, r_start=lo, arithmetic_mode=mode)

@@ -483,6 +483,21 @@ def test_oracle_direct_mode_overflow_exits_two(capsys):
     assert "Traceback" not in err
 
 
+def test_oracle_union_bound_beyond_the_n_cap_exits_two(capsys, monkeypatch):
+    # the cap is checked before any array is sized by n; a kernel that
+    # raises keeps a missing check from evaluating a huge sum
+    def no_kernel(*args):
+        raise AssertionError("the kernel ran")
+
+    monkeypatch.setattr(koutlab.oracle, "_cut_kernel", no_kernel)
+    for query in (["--m", "1"], ["--d", "3", "--x", "1"]):
+        code, out, err = run_cli(capsys, "oracle", "--n", "10000000001", *query)
+        assert code == 2 and out == ""
+        assert err == "parameter error: union-bound sums are limited to n <= 10000000\n"
+    with pytest.raises(AssertionError, match="the kernel ran"):
+        koutlab.oracle.union_bound_sum(10**7, 0.9, 2, 1)
+
+
 def test_oracle_json_includes_terms(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "20", "--mu", "0.5",
                            "--k", "2", "--m", "3", "--format", "json")

@@ -281,8 +281,9 @@ def test_malformed_config_line_exits_two_naming_its_line(config_path, kind, befo
                            where + condition + ".*")
 
 
-# literals that no config key takes: nested lists and int-keyed dicts
-wrong_type = (st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=2)
+# literals that no config key takes: true/false, nested lists and int-keyed dicts
+wrong_type = (st.booleans()
+              | st.lists(st.lists(st.integers(), max_size=2), min_size=1, max_size=2)
               | st.dictionaries(st.integers(), st.integers(), min_size=1, max_size=2))
 
 

@@ -246,6 +246,17 @@ def test_experiment_config_validation():
     assert conf.sweep_values == (0.3, 0.6)
 
 
+@pytest.mark.parametrize("field, value", [("trials", True), ("seed", True), ("d", False),
+                                          ("mu", True), ("overlay_eps", True)])
+def test_experiment_config_refuses_booleans(field, value):
+    # bool is an int subclass, so int(True) alone would pass as one trial
+    conf = dict(sweep_param="K", sweep_values=(2,), n=10, mu=0.5)
+    with pytest.raises(ParameterError, match=f"{field} must be"):
+        ExperimentConfig(**(conf | {field: value}))
+    with pytest.raises(ParameterError, match="sweep value must be"):
+        ExperimentConfig(**(conf | {"sweep_values": (2, value)}))
+
+
 def test_run_sweep_writes_byte_stable_files(tmp_path, monkeypatch):
     conf = ExperimentConfig(sweep_param="mu", sweep_values=(0.3, 0.7), n=40,
                             k=2, trials=50, seed=21,

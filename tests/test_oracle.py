@@ -1,3 +1,4 @@
+import hashlib
 import math
 
 import numpy as np
@@ -7,11 +8,12 @@ from koutlab import ParameterError, oracle
 from koutlab.experiments import collect_cmax
 from koutlab.graph_model import two_type_params
 from koutlab.oracle import (_UNDERFLOW_LOG, EnumeratedRealization,
-                            _block_log_bound, _cut_kernel,
+                            _block_log_bounds, _cut_kernel,
                             exact_cut_probability,
                             exact_cut_probability_deleted,
                             exhaustive_event_probability, union_bound_sum,
                             union_bound_sum_deleted)
+from koutlab.validate import check_log_direct
 
 
 # Scalar reference for the vectorized kernel: math.lgamma log-binomials
@@ -101,17 +103,19 @@ def test_union_bound_beyond_float64_is_inf_and_clamped():
 
 
 def _blocks(n, d, lo):
+    """(start, width) of each block of subset sizes in a sum from lo."""
     hi = (n - d) // 2
-    return [np.arange(a, min(a + oracle._BLOCK, hi + 1), dtype=np.int64)
+    return [(a, min(a + oracle._BLOCK, hi + 1) - a)
             for a in range(lo, hi + 1, oracle._BLOCK)]
 
 
 def _unskipped_terms(n, mu, k, d, lo, mode="log"):
     """The sum's terms with _cut_kernel run on every block: the skip's reference."""
     parts = []
-    for r in _blocks(n, d, lo):
-        f_in, f_out, _, log_term = _cut_kernel(n, mu, k, d, r)
+    for a, width in _blocks(n, d, lo):
+        f_in, f_out, _, log_term = (row[0] for row in _cut_kernel(n, mu, k, d, [a], width))
         if mode == "direct":
+            r = np.arange(a, a + width, dtype=np.int64)
             binom = np.array([float(math.comb(n - d, b)) for b in r.tolist()])
             parts.append(binom * f_in ** r * f_out ** (n - d - r))
         else:
@@ -120,28 +124,32 @@ def _unskipped_terms(n, mu, k, d, lo, mode="log"):
     return np.concatenate(parts)
 
 
-def _count_evaluated_blocks(monkeypatch):
-    """Patch the sum's kernel to record the size of every call; the bound's
-    one-element calls are told apart by size."""
-    sizes = []
+def _record_kernel_calls(monkeypatch):
+    """Patch the sum's kernel to record the number of starts of every call:
+    a block evaluation runs one start, the bounding call two per block."""
+    calls = []
 
-    def counting_kernel(n, mu, k, d, r):
-        sizes.append(r.size)
-        return _cut_kernel(n, mu, k, d, r)
+    def counting_kernel(n, mu, k, d, starts, width):
+        calls.append(len(starts))
+        return _cut_kernel(n, mu, k, d, starts, width)
 
     monkeypatch.setattr(oracle, "_cut_kernel", counting_kernel)
-    return lambda: sum(size > 1 for size in sizes)
+    return calls
 
 
 @pytest.mark.parametrize("n", (20_000, 30_000, 100_000))
 def test_block_log_bound_covers_every_kernel_term(n):
+    # every block, the first one too, is bounded by one call
     for mu in (0.1, 0.5, 0.9, 0.99):
         for k in (2, 3, 5):
             for d in (0, 7, 100):
-                for r in _blocks(n, d, 1):
-                    log_term = _cut_kernel(n, mu, k, d, r)[3]
-                    bound = _block_log_bound(n, mu, k, d, int(r[0]), int(r[-1]))
-                    assert bound >= log_term.max(), (mu, k, d, int(r[0]))
+                blocks = _blocks(n, d, 1)
+                bounds = _block_log_bounds(n, mu, k, d, [a for a, _ in blocks],
+                                           [a + width - 1 for a, width in blocks])
+                assert bounds.shape == (len(blocks),)
+                for (a, width), bound in zip(blocks, bounds):
+                    log_term = _cut_kernel(n, mu, k, d, [a], width)[3]
+                    assert bound >= log_term.max(), (mu, k, d, a)
 
 
 # evaluated counts the blocks the kernel runs on, of 123
@@ -155,11 +163,11 @@ def test_skipped_blocks_leave_the_sum_bit_identical(monkeypatch, mu, k, d, lo,
                                                     evaluated):
     n = 1_000_000
     ref = _unskipped_terms(n, mu, k, d, lo)
-    count = _count_evaluated_blocks(monkeypatch)
+    calls = _record_kernel_calls(monkeypatch)
     ev = union_bound_sum_deleted(n, mu, k, d, lo)
     assert np.array_equal(ev.terms, ref)
     assert ev.raw_sum == float(ref.sum())
-    assert count() == evaluated
+    assert calls == [2 * 123] + [1] * evaluated
 
 
 def test_direct_mode_skips_no_block(monkeypatch):
@@ -171,14 +179,14 @@ def test_direct_mode_skips_no_block(monkeypatch):
         for mode in ("direct", "log"):
             ref = _unskipped_terms(*args, mode=mode)
             assert (ref == 0.0).any() and (ref > 0.0).any()
-            count = _count_evaluated_blocks(monkeypatch)
+            calls = _record_kernel_calls(monkeypatch)
             ev = union_bound_sum_deleted(*args, mode=mode)
             assert np.array_equal(ev.terms, ref)
             assert ev.raw_sum == float(ref.sum())
             if mode == "direct":
-                assert count() == blocks
+                assert calls == [1] * blocks
             else:
-                assert count() < blocks
+                assert calls[0] == 2 * blocks and len(calls) - 1 < blocks
 
 
 def test_underflow_threshold_is_below_exp_underflow():
@@ -281,6 +289,66 @@ def test_union_bound_frozen_values():
         0.1027793674939932, rel=1e-12)
 
 
+# sha256 of terms.tobytes() and repr(raw_sum) of union-bound sums, recorded
+# from the kernel that bounded each block with two scalar kernel calls;
+# they pin the sums' bits, skipped blocks included
+_SUM_PINS = [
+    (union_bound_sum, (10**6, 0.9, 2, 1), "log",
+     "6ba16a195eb1db1c1faf387f0d20ccb18eb42ff1024c59ec63179b3ba8e55fa6",
+     "0.19899826697234566"),
+    (union_bound_sum, (10**6, 0.99, 2, 1), "log",
+     "1db877b3b47e7c6a417f072463dc2d899081a900a4a245b0be367c52814f1cd1",
+     "1.370695108018077"),
+    (union_bound_sum, (9000, 0.5, 4502, 1), "log",
+     "d7967a6f7d2dd3204ed70cc72c705e33a573aef8431b69c5bbd39e5b5cd67384", "0.0"),
+    (union_bound_sum, (30, 0.5, 2, 2), "log",
+     "c35edfefb8fbd94fa22ac5baf217c3b4c1d689971d1fa065dd2c1c38586cac71",
+     "0.009915959580270053"),
+    (union_bound_sum_deleted, (10**6, 0.9, 2, 20, 80), "log",
+     "ab329693b370eb27dd1fe875f0b564be4787e8e021a01ff425b3c65d8a7cd04e",
+     "0.4740401720038148"),
+    (union_bound_sum_deleted, (9000, 0.5, 5, 5000, 1), "log",
+     "0913108fb26ca9b225a3d52eda82aa0ce559a731027ac1e531586fc896509160",
+     "2.0212477775143835e+175"),
+    (union_bound_sum_deleted, (200, 0.5, 3, 150, 1), "log",
+     "a0832aa35f26ada12f749c3ace9843a990c058ee649292670f5372dd370d1e42",
+     "1924683298.9737163"),
+    (union_bound_sum, (1000, 0.1, 5, 1), "direct",
+     "a5dc59e038686a5c15336bac5f4bba6a8f545bf8696fee60b9b88a736555a329",
+     "4.994198025552781e-07"),
+    (union_bound_sum_deleted, (1020, 0.1, 5, 20, 1), "direct",
+     "c17a037f814e24a4c64721eb73b0f9a074fdcb6ee556e7bf45f4d236df8e7fe0",
+     "0.021628902550800546"),
+]
+
+
+@pytest.mark.parametrize("func, args, mode, terms_sha, raw", _SUM_PINS,
+                         ids=[f"{case[0].__name__}-{case[2]}-{'-'.join(map(str, case[1]))}"
+                              for case in _SUM_PINS])
+def test_union_bound_bits_are_pinned(func, args, mode, terms_sha, raw):
+    ev = func(*args, mode=mode)
+    assert hashlib.sha256(ev.terms.tobytes()).hexdigest() == terms_sha
+    assert repr(ev.raw_sum) == raw
+
+
+def test_cut_probability_bits_are_pinned():
+    cases = [
+        (exact_cut_probability, (5, 0.5, 2, 2), "log", "0.0005787037037037044"),
+        (exact_cut_probability, (1000, 0.9, 2, 10), "log", "2.1703406670794297e-26"),
+        (exact_cut_probability, (1000, 0.9, 2, 10), "direct", "2.170340667079427e-26"),
+        (exact_cut_probability, (10**6, 0.9, 2, 3), "log", "2.1511314795144123e-19"),
+        (exact_cut_probability, (200, 0.25, 3, 66), "direct", "1.0775593420156157e-119"),
+        (exact_cut_probability_deleted, (10**6, 0.9, 2, 20, 5), "log",
+         "1.9217047360624962e-26"),
+        (exact_cut_probability_deleted, (9000, 0.5, 5, 5000, 3), "log",
+         "0.0005177831625199301"),
+        (exact_cut_probability_deleted, (30, 0.9, 3, 4, 5), "direct",
+         "9.024450614080123e-06"),
+    ]
+    for func, args, mode, value in cases:
+        assert repr(func(*args, mode=mode)) == value, (func.__name__, args, mode)
+
+
 def test_union_bound_evaluation_structure():
     ev = union_bound_sum(30, 0.5, 2, 2)
     assert ev.r_start == 2
@@ -345,17 +413,8 @@ def test_log_domain_survives_huge_n():
 
 
 def test_log_and_direct_modes_agree():
-    for n in (10, 50, 200):
-        for mu in (0.25, 0.75):
-            for k in (2, 3):
-                for r in (2, max(1, n // 3)):
-                    a = exact_cut_probability(n, mu, k, r, mode="log")
-                    b = exact_cut_probability(n, mu, k, r, mode="direct")
-                    if b > 0:
-                        assert abs(a - b) / b < 1e-9
-                la = union_bound_sum(n, mu, k, 2, mode="log").raw_sum
-                di = union_bound_sum(n, mu, k, 2, mode="direct").raw_sum
-                assert abs(la - di) / di < 1e-9
+    result = check_log_direct()
+    assert result.passed, result.detail
 
 
 def test_enumeration_connected_probability_forced_case():
