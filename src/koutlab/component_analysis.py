@@ -2,12 +2,12 @@
 
 Functions here accept any graph exposing n, n_effective, surviving()
 and edge_arrays(), such as a KoutGraph with or without deleted nodes.
-The cut-range queries also read the graph's components, its
-ComponentReport; a KoutGraph labels itself once and keeps it, so asking
-one graph about many ranges labels it once.  A cut is a nonempty proper
-subset of the surviving nodes with no edge to its complement.  The cuts
-are exactly the nonempty proper unions of whole components, so the
-subset-sum test in has_cut_in_range is exact.
+has_cut_in_range also reads the graph's components, its
+ComponentReport, which a KoutGraph labels once and keeps;
+cut_range_implication reads component sizes alone.  A cut is a
+nonempty proper subset of the surviving nodes with no edge to its
+complement.  The cuts are exactly the nonempty proper unions of whole
+components, so the subset-sum test behind both is exact.
 
 Two labelers live here.  component_labels sizes every realized graph:
 the batched trials and connected_components, and so every cut query
@@ -187,21 +187,24 @@ class CutRangeImplication:
     holds: bool
 
 
-def cut_range_implication(g, x) -> CutRangeImplication:
+def cut_range_implication(sizes, x) -> CutRangeImplication:
     """Evaluate: no cut with size in [x, n_eff - x] implies cmax > n_eff - x.
 
-    Test harness for the structural fact that a largest component of
-    size <= n_eff - x would itself be (part of) a cut in that range.
-    Requires 1 <= x <= floor(n_eff / 3) so the range is nonempty and the
+    sizes are the component sizes of one graph's surviving nodes, in any
+    order (a graph's components.component_sizes, or a row of the batched
+    sizes, whose zeros are skipped); n_eff is their sum.  Test harness for
+    the structural fact that a largest component of size <= n_eff - x
+    would itself be (part of) a cut in that range.  Requires
+    1 <= x <= floor(n_eff / 3) so the range is nonempty and the
     implication is the meaningful one.
     """
     x = int(x)
-    n_eff = g.n_effective
+    sizes = [int(s) for s in sizes if s]
+    n_eff = sum(sizes)
     if not 1 <= x <= n_eff // 3:
         raise ParameterError("need 1 <= x <= floor(surviving node count / 3)")
-    report = g.components
-    no_mid_cut = not _sizes_reach_range(report.component_sizes, x, n_eff - x, n_eff)
-    giant_exceeds = report.cmax > n_eff - x
+    no_mid_cut = not _sizes_reach_range(sizes, x, n_eff - x, n_eff)
+    giant_exceeds = max(sizes) > n_eff - x
     return CutRangeImplication(
         x=x,
         no_mid_cut=no_mid_cut,

@@ -80,8 +80,8 @@ def _words(value):
 
 
 def trial_keys(master_seed, point_index, lo, hi) -> np.ndarray:
-    """The Philox keys of trial_stream(master_seed, point_index, t) for
-    t in lo..hi-1, as a (hi - lo, 2) uint64 array.
+    """The Philox keys of trial t's stream (trial_stream) at (master_seed,
+    point_index), for t in lo..hi-1, as a (hi - lo, 2) uint64 array.
 
     A fresh Philox starts at counter 0 under the key that SeedSequence's
     generate_state(2, np.uint64) derives, so its stream is fixed by the
@@ -150,13 +150,30 @@ _BATCH_NODES = 4096
 _KEY_CHUNK = 4096
 
 
-def _batch_cmax(params, d, rng, keys) -> np.ndarray:
-    """cmax of the trials with these keys, labeled as one disjoint union.
+def key_batches(master_seed, point_index, lo, hi, n):
+    """The trial_keys of trials lo..hi-1, in batches of at most _BATCH_NODES
+    nodes at n nodes a trial (one trial a batch when n is larger).
+
+    The one loop of the sweep, the coupling and C02: each rekeys one
+    generator per trial (_rekey), so trial t draws exactly what
+    trial_stream gives for (master_seed, point_index, t)."""
+    step = max(1, _BATCH_NODES // n)
+    chunk = step * max(1, _KEY_CHUNK // step)
+    for a in range(lo, hi, chunk):
+        keys = trial_keys(master_seed, point_index, a, min(a + chunk, hi))
+        for b in range(0, len(keys), step):
+            yield keys[b:b + step]
+
+
+def _batch_sizes(params, d, rng, keys) -> np.ndarray:
+    """Component sizes of the trials with these keys, labeled as one disjoint union.
 
     One generator serves every trial: it is rekeyed, then draws the
     trial (draw_trial) and, with d > 0, the deleted nodes (draw_deleted).
     Everything else runs on the whole batch; trial b's nodes are offset
-    by b*n.
+    by b*n.  Row b, entry i of the (B, n) result is the size of trial b's
+    component whose smallest node is i, and 0 where i is not the
+    smallest; a deleted node is left a singleton, size 1.
     """
     n = params.n
     xs, blocks, dead = [], [], []
@@ -177,25 +194,19 @@ def _batch_cmax(params, d, rng, keys) -> np.ndarray:
         keep = alive[u] & alive[v]
         # a deleted node is left a singleton, never larger than a survivor's component
         u, v = u[keep], v[keep]
-    return _cmax_per_graph(n, nodes, u, v)
+    return _sizes_per_graph(n, nodes, u, v)
 
 
-def _cmax_per_graph(n, nodes, u, v) -> np.ndarray:
-    """cmax of each graph b, on nodes b*n..b*n+n-1, of a union of graphs with arcs (u, v)."""
-    return np.bincount(component_labels(nodes, u, v), minlength=nodes).reshape(-1, n).max(axis=1)
+def _sizes_per_graph(n, nodes, u, v) -> np.ndarray:
+    """_batch_sizes' rows for a union of graphs b on nodes b*n.. with arcs (u, v)."""
+    return np.bincount(component_labels(nodes, u, v), minlength=nodes).reshape(-1, n)
 
 
 def _run_block(args):
     params, d, master_seed, point_index, lo, hi = args
-    step = max(1, _BATCH_NODES // params.n)
-    chunk = step * max(1, _KEY_CHUNK // step)
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed before every trial
-    out = []
-    for a in range(lo, hi, chunk):
-        keys = trial_keys(master_seed, point_index, a, min(a + chunk, hi))
-        out.extend(_batch_cmax(params, d, rng, keys[b:b + step])
-                   for b in range(0, len(keys), step))
-    return np.concatenate(out)
+    return np.concatenate([_batch_sizes(params, d, rng, keys).max(axis=1)
+                           for keys in key_batches(master_seed, point_index, lo, hi, params.n)])
 
 
 def _pool_size(workers, tasks) -> int:
@@ -529,7 +540,8 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     count violations of edge containment and of cmax monotonicity.
     Both counts must come out 0: the extension never removes an edge.
     Containment is checked on arcs, which implies it for edges.  Pair t
-    draws from trial_stream(seed, 0, t); pairs are labeled in batches.
+    draws what trial_stream gives for (seed, 0, t), from one rekeyed
+    generator (key_batches); pairs are labeled in batches.
     """
     if target.r < 2:
         raise ParameterError("coupling target needs at least two classes")
@@ -540,12 +552,12 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
         raise ParameterError("seed must be a non-negative integer")
     n = target.n
     base_params = two_type_params(n, sum(target.type_probs[:-1]), target.type_selections[-1])
-    step = max(1, _BATCH_NODES // n)
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before every pair
     edge_bad, cmax = 0, []
-    for lo in range(0, trials, step):
+    for keys in key_batches(seed, 0, 0, trials, 2 * n):
         graphs = []  # pair b's base graph is graphs[2b], its extension graphs[2b+1]
-        for t in range(lo, min(lo + step, trials)):
-            rng = trial_stream(seed, 0, t)
+        for pair in keys:
+            _rekey(rng, pair)
             graphs.append(construct_r_type(base_params, rng))
             graphs.append(couple_extend(graphs[-1], target, rng))
         nodes = len(graphs) * n  # node i of graphs[g] is node g*n + i
@@ -553,7 +565,7 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
         offset = np.repeat(np.arange(0, nodes, n), [src.size for src, _ in arcs])
         u = np.concatenate([src for src, _ in arcs]) + offset
         v = np.concatenate([dst for _, dst in arcs]) + offset
-        cmax.append(_cmax_per_graph(n, nodes, u, v))
+        cmax.append(_sizes_per_graph(n, nodes, u, v).max(axis=1))
         # a base arc must come back n nodes on, in its extension
         key = np.sort(u * nodes + v)
         u = key // nodes

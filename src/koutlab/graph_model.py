@@ -4,8 +4,9 @@ Each of n nodes independently becomes type-i with probability mu_i and
 selects K_i distinct other nodes uniformly at random (K_1 < ... < K_r).
 An undirected edge joins i and j when either selected the other.  The
 module also implements uniform random node deletion, which marks nodes
-deleted in a copy of the graph, and a coupling that extends a two-type
-draw to an r-type draw without removing any edge.
+deleted in a copy of the graph and returns them sorted beside it, and a
+coupling that extends a two-type draw to an r-type draw without
+removing any edge.
 """
 
 from __future__ import annotations
@@ -115,8 +116,8 @@ class KoutGraph:
     of the class-t nodes, nodes in order, row by row (see union_arcs).
     deleted holds the nodes a deletion removed (delete_random_nodes);
     original node ids are kept and nothing is re-indexed.  Instances are
-    immutable; arcs, selection sets, edges and components are derived on
-    first use and cached.
+    immutable; arcs, edges and components are derived on first use and
+    cached.  A node's selection set is its arcs' heads.
     """
 
     params: GraphParams
@@ -147,24 +148,12 @@ class KoutGraph:
         return union_arcs(self.params, self.node_types, self.blocks)
 
     @cached_property
-    def sel_indptr(self) -> np.ndarray:
-        """Node i's picks are sel_flat[sel_indptr[i]:sel_indptr[i+1]] (read-only)."""
-        indptr = np.zeros(self.n + 1, dtype=np.int64)
-        np.cumsum(np.bincount(self.arcs[0], minlength=self.n), out=indptr[1:])
-        indptr.flags.writeable = False
-        return indptr
-
-    @cached_property
     def sel_flat(self) -> np.ndarray:
         """Every node's picks, sorted, nodes in order (read-only)."""
         src, dst = self.arcs
         flat = np.sort(src * np.int64(self.n) + dst) % self.n
         flat.flags.writeable = False
         return flat
-
-    def selection_set(self, i) -> np.ndarray:
-        """The nodes selected by node i, as a sorted array view."""
-        return self.sel_flat[self.sel_indptr[i]:self.sel_indptr[i + 1]]
 
     @cached_property
     def _edges(self):
@@ -190,14 +179,6 @@ class KoutGraph:
         return connected_components(self)
 
 
-@dataclass(frozen=True)
-class DeletionSpec:
-    """A realized uniform node deletion: d removed node ids."""
-
-    d: int
-    nodes: tuple[int, ...]
-
-
 # ---------------------------------------------------------------------------
 # construction
 
@@ -213,11 +194,6 @@ def types_from_uniforms(params: GraphParams, x) -> np.ndarray:
     for edge in params.cum_probs[:-1]:
         types += x >= edge
     return types
-
-
-def assign_types(params: GraphParams, rng) -> np.ndarray:
-    """Independent per-node type draw: index i with probability mu_i."""
-    return types_from_uniforms(params, as_generator(rng).random(params.n))
 
 
 def _rows_with_repeats(sel) -> np.ndarray:
@@ -328,16 +304,15 @@ def construct_r_type(params: GraphParams, rng) -> KoutGraph:
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):
-    """Remove d uniformly random nodes; returns (DeletionSpec, the graph
-    with those nodes deleted)."""
+    """Remove d uniformly random nodes; returns (the removed nodes as a
+    sorted tuple, the graph with those nodes deleted)."""
     if g.deleted:
         raise ParameterError("the graph already has deleted nodes")
     d = int(d)
     if not 0 <= d < g.n:
         raise ParameterError("deletion count must satisfy 0 <= d < n")
-    chosen = np.sort(draw_deleted(g.n, d, as_generator(rng)))
-    spec = DeletionSpec(d=d, nodes=tuple(int(x) for x in chosen))
-    return spec, replace(g, deleted=frozenset(spec.nodes))
+    nodes = tuple(sorted(draw_deleted(g.n, d, as_generator(rng)).tolist()))
+    return nodes, replace(g, deleted=frozenset(nodes))
 
 
 def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:

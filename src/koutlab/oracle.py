@@ -98,6 +98,9 @@ def _cut_kernel(n, mu, k, d, starts, width):
     terms.  Every log-factorial is math.lgamma of an integer, read from
     spans that evaluate each integer once.
     """
+    if n >= 1 << 63:  # n - r - 1 below must be an int64
+        raise ParameterError(f"n must be below 2**63 to fit the cut kernel's int64 arrays, "
+                             f"got {n}")
     r = np.array(starts, dtype=np.int64)[:, None] + np.arange(width)
     lg = _lgamma_rows([a + i for i in (1, d, d - k) for a in starts]
                       + [n - a - width + i for i in (1, 1 - k, 2 - d) for a in starts],

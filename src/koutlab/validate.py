@@ -3,8 +3,9 @@
 quick: exhaustive-oracle agreement on tiny graphs, structural
 invariants (cut implications, coupling, the component labeler against
 its breadth-first reference, solver residuals, geometric ratios), and
-a fast statistical bound check.  full: adds the 10^5-trial statistical
-suites, including the large-sweep largest-component gate.
+fast statistical checks of the union bound, with and without
+deletions.  full: adds the 10^5-trial statistical suites, including
+the large-sweep largest-component gate.
 
 The check_* functions are the single home of acceptance criteria 1, 2,
 3, 6, 7 and 8: each takes its sizes and seeds (criterion 3 takes the
@@ -31,10 +32,10 @@ from .bounds import (deleted_tail_bound, deleted_tail_bound_alt, er_giant_fracti
 from .errors import ParameterError
 from .component_analysis import (connected_components, connected_components_bfs,
                                  cut_range_implication)
-from .experiments import collect_cmax, coupling_experiment, trial_stream
+from .experiments import _batch_sizes, collect_cmax, coupling_experiment, key_batches
 from .graph_model import GraphParams, construct_r_type, delete_random_nodes, two_type_params
 from .oracle import (exact_cut_probability, exact_cut_probability_deleted,
-                     exhaustive_event_probability, union_bound_sum)
+                     exhaustive_event_probability, union_bound_sum, union_bound_sum_deleted)
 
 _SEED = 20240817
 
@@ -81,15 +82,14 @@ def check_oracle_agreement(mus=(0.5,)) -> SuiteResult:
 def check_cut_implication(graphs, seed, point) -> SuiteResult:
     """No mid-range cut implies a large component, on random graphs (C02).
 
-    Graph t is drawn from trial_stream(seed, point, t).
+    Graph t is trial t of (seed, point), sized in batches (key_batches).
     """
     params = two_type_params(30, 0.5, 2)
+    rng = np.random.Generator(np.random.Philox(0))  # rekeyed before every graph
     bad = 0
-    for t in range(graphs):
-        g = construct_r_type(params, trial_stream(seed, point, t))
-        for x in range(1, 11):
-            if not cut_range_implication(g, x).holds:
-                bad += 1
+    for keys in key_batches(seed, point, 0, graphs, params.n):
+        for sizes in _batch_sizes(params, 0, rng, keys).tolist():
+            bad += sum(not cut_range_implication(sizes, x).holds for x in range(1, 11))
     return SuiteResult(
         name="cut-range-implication",
         passed=bad == 0,
@@ -231,29 +231,32 @@ def _tail_check(cm, n_eff, mu, k, trials, m_lo=5):
     return fails, flags
 
 
-def check_union_bound_soundness(trials, seed, point) -> SuiteResult:
+def check_union_bound_soundness(trials, seed, point, d=0) -> SuiteResult:
     """Union-bound sums dominate the simulated small-component tail (C07).
 
-    P[cmax <= n - M] may exceed the bound by at most 4 binomial sigma,
-    for M = 2..8 at n=30, mu=0.5, K=2.  Runs on one worker.
+    P[n-d-cmax >= x] may exceed union_bound_sum_deleted(n, mu, K, d, x)
+    by at most 4 binomial sigma, at n=30, mu=0.5, K=2 with d random
+    deletions: for x = 2..8 at d=0, and for 1 <= x <= (n-d)/3 at d > 0,
+    where x or more nodes outside the largest component make a cut of
+    size in [x, n-d-x].  Runs on one worker.
     """
     n, mu, k = 30, 0.5, 2
-    cm = collect_cmax(two_type_params(n, mu, k), 0, trials, seed,
+    cm = collect_cmax(two_type_params(n, mu, k), d, trials, seed,
                       point_index=point, workers=1)
     rows = []
     ok = True
-    for m in range(2, 9):
-        p_hat = float((cm <= n - m).mean())
-        bound = union_bound_sum(n, mu, k, m).value
+    for x in range(2, 9) if d == 0 else range(1, (n - d) // 3 + 1):
+        p_hat = float((n - d - cm >= x).mean())
+        bound = union_bound_sum_deleted(n, mu, k, d, x).value  # union_bound_sum at d=0
         sigma = sqrt(p_hat * (1.0 - p_hat) / trials)
         within = p_hat <= bound + 4 * sigma
         ok = ok and within
-        rows.append(f"M={m}: {p_hat:.2e} {'<=' if within else '>'} "
+        rows.append(f"{'M' if d == 0 else 'x'}={x}: {p_hat:.2e} {'<=' if within else '>'} "
                     f"{bound:.2e}+4*{sigma:.1e}")
     return SuiteResult(
-        name="union-bound-soundness",
+        name="union-bound-soundness" if d == 0 else "deleted-union-bound-soundness",
         passed=ok,
-        detail=f"{trials} trials at n={n}: " + ", ".join(rows),
+        detail=f"{trials} trials at n={n}" + (f" d={d}" if d else "") + ": " + ", ".join(rows),
     )
 
 
@@ -293,6 +296,7 @@ def run_suites(level="quick") -> list:
         _suite_geometric_ratios(),
         check_log_direct(),
         check_union_bound_soundness(trials=20_000, seed=_SEED + 2, point=0),
+        check_union_bound_soundness(trials=20_000, seed=_SEED + 2, point=1, d=1),
     ]
     if level == "full":
         results.extend(_suites_statistical_full())

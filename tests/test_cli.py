@@ -498,6 +498,26 @@ def test_oracle_union_bound_beyond_the_n_cap_exits_two(capsys, monkeypatch):
         koutlab.oracle.union_bound_sum(10**7, 0.9, 2, 1)
 
 
+def test_oracle_cut_probability_beyond_int64_exits_two(capsys):
+    # n - r - 1 must fit the cut kernel's int64 arrays; n = 10^20 tracebacked
+    # with an OverflowError in the kernel
+    condition = "n must be below 2**63 to fit the cut kernel's int64 arrays"
+    for n, query in ((10**20, []), (2**63, []), (10**20, ["--d", "2"])):
+        code, out, err = run_cli(capsys, "oracle", "--n", str(n), "--mu", "0.5", "--k", "2",
+                                 "--r", "3", *query)
+        assert code == 2 and out == ""
+        assert err == f"parameter error: {condition}, got {n}\n"
+    proc = subprocess.run(
+        [sys.executable, "-m", "koutlab", "oracle", "--n", str(10**20), "--mu", "0.5",
+         "--k", "2", "--r", "3"], capture_output=True, text=True, timeout=30)
+    assert proc.returncode == 2 and proc.stdout == ""
+    assert "Traceback" not in proc.stderr and condition in proc.stderr
+    code, out, _ = run_cli(capsys, "oracle", "--n", str(10**10), "--mu", "0.5", "--k", "2",
+                           "--r", "3")
+    assert code == 0
+    assert out.startswith("cut probability n=10000000000 mu=0.5 K=2 r=3 [log]: ")
+
+
 def test_oracle_json_includes_terms(capsys):
     code, out, _ = run_cli(capsys, "oracle", "--n", "20", "--mu", "0.5",
                            "--k", "2", "--m", "3", "--format", "json")
@@ -550,8 +570,9 @@ def test_validate_quick_runs_every_suite(capsys):
         "PASS coupling-monotonicity", "PASS dual-component-algorithms",
         "PASS er-fixed-point", "PASS geometric-ratios",
         "PASS log-vs-direct-arithmetic", "PASS union-bound-soundness",
+        "PASS deleted-union-bound-soundness",
     ]
-    assert "8/8 suites passed (quick)" in out
+    assert "9/9 suites passed (quick)" in out
 
 
 def test_validate_rejects_unknown_level():

@@ -5,9 +5,10 @@ exactly one invalid input, and checks that the command exits 2, prints
 nothing on stdout and prints `parameter error: <condition>` on stderr,
 with no traceback.  `sweep` also reads config files holding one
 malformed line, or one value of a type its key does not take.  Flag values are passed as `--flag=value`, so argparse reads
-a leading minus as part of the value.  Cases draw n <= 40 and at most 5
-trials on one worker, so none builds a large graph, runs long or starts
-a process pool.
+a leading minus as part of the value.  Cases draw n <= 40 (an `oracle
+--r` query may draw an n beyond int64, which sizes no array) and at
+most 5 trials on one worker, so none builds a large graph, runs long or
+starts a process pool.
 """
 
 import io
@@ -97,8 +98,8 @@ def invalid_sample(draw, kind):
     return base + flags(n=n, mu_vec=mu_vec, k_vec=k_vec)
 
 
-ORACLE_KINDS = ["no-n", "queries", "r", "r-deleted", "m", "m-deleted", "x", "x-deleted",
-                "mu", "k"]
+ORACLE_KINDS = ["no-n", "queries", "r", "r-deleted", "r-beyond-int64", "m", "m-deleted",
+                "x", "x-deleted", "mu", "k"]
 
 
 @st.composite
@@ -115,6 +116,9 @@ def invalid_oracle(draw, kind):
     if kind == "r-deleted":
         d = draw(st.integers(1, n + 5))
         return base + flags(d=d, r=draw(st.integers(-5, 0) | st.integers(max(1, n - d), 45)))
+    if kind == "r-beyond-int64":  # a valid query whose n the cut kernel cannot hold
+        query = flags(n=draw(st.integers(2**63, 10**30)), r=draw(st.integers(1, 5)))
+        return ["oracle"] + query + flags(d=draw(st.integers(0, 3)))
     if kind == "m":
         return base + flags(m=draw(st.integers(-5, 0) | st.integers(n // 2 + 1, 45)))
     if kind == "m-deleted":

@@ -10,7 +10,7 @@ from koutlab.component_analysis import (ComponentReport, _reference_sizes,
                                         connected_components_bfs,
                                         cut_range_implication,
                                         has_cut_in_range, is_cut)
-from koutlab.experiments import _cmax_per_graph
+from koutlab.experiments import _sizes_per_graph
 from koutlab.graph_model import (construct_r_type, delete_random_nodes,
                                  two_type_params)
 from koutlab.oracle import exhaustive_event_probability
@@ -157,7 +157,9 @@ def test_component_labels_on_disjoint_unions_of_different_depths():
     u, v = np.concatenate(us), np.concatenate(vs)
     order = rng.permutation(u.size)
     _labels_match_on_arcs(n * graphs, u[order], v[order])
-    assert _cmax_per_graph(n, n * graphs, u, v).tolist() == [s[0] for s in sizes]
+    rows = _sizes_per_graph(n, n * graphs, u, v)
+    assert rows.max(axis=1).tolist() == [s[0] for s in sizes]
+    assert [tuple(sorted(row[row > 0].tolist(), reverse=True)) for row in rows] == sizes
 
 
 @pytest.mark.parametrize("n,mu,k,d", [
@@ -339,7 +341,7 @@ def test_has_cut_in_range_matches_brute_force_enumeration():
 
 
 def test_cut_range_implication_cases():
-    connected = HandGraph(9, [(i, i + 1) for i in range(8)])
+    connected = HandGraph(9, [(i, i + 1) for i in range(8)]).components.component_sizes
     rec = cut_range_implication(connected, 3)
     assert rec.no_mid_cut and rec.giant_exceeds and rec.holds
 
@@ -347,9 +349,13 @@ def test_cut_range_implication_cases():
     # antecedent fails and the implication holds vacuously
     edges = [(i, i + 1) for i in range(24)] + [(i, i + 1) for i in range(25, 29)]
     split = HandGraph(30, edges)
-    rec = cut_range_implication(split, 4)
+    rec = cut_range_implication(split.components.component_sizes, 4)
     assert not rec.no_mid_cut
     assert rec.holds
+    # sizes in any order, with the zeros of a batched row, read the same
+    assert cut_range_implication([0, 5, 0, 25, 0], 4) == rec
+    rec = cut_range_implication([1, 0, 1, 28], 4)  # the largest need not come first
+    assert rec.no_mid_cut and rec.giant_exceeds and rec.holds
 
     with pytest.raises(ParameterError):
         cut_range_implication(connected, 4)  # x above floor(n/3)
@@ -362,7 +368,7 @@ def test_cut_range_implication_never_fails_on_random_graphs():
     for _ in range(300):
         g = construct_r_type(two_type_params(30, 0.5, 2), rng)
         for x in range(1, 11):
-            assert cut_range_implication(g, x).holds
+            assert cut_range_implication(g.components.component_sizes, x).holds
 
 
 def test_component_report_equality_is_structural():

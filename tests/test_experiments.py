@@ -7,7 +7,9 @@ import pytest
 
 from koutlab import ParameterError
 from koutlab import experiments
-from koutlab.component_analysis import connected_components, connected_components_bfs
+from koutlab.component_analysis import (CutRangeImplication, connected_components,
+                                        connected_components_bfs, cut_range_implication,
+                                        has_cut_in_range)
 from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
@@ -74,6 +76,46 @@ def test_collect_cmax_matches_per_trial_reference(params, d, trials, workers):
     got = collect_cmax(params, d, trials, seed=31, point_index=2, workers=workers)
     assert got.dtype == np.int64
     assert np.array_equal(got, _per_trial_cmax(params, d, trials, 31, point_index=2))
+
+
+def test_key_batches_cover_the_range_in_order():
+    # 136 trials a batch at n=30; keys come in chunks of 4080 trials
+    assert [len(k) for k in experiments.key_batches(31, 2, 0, _BATCH_30 + 17, 30)] == [136, 17]
+    batches = list(experiments.key_batches(7, 1, 5, 9000, 30))
+    assert max(len(k) for k in batches) == _BATCH_30
+    assert np.array_equal(np.concatenate(batches), trial_keys(7, 1, 5, 9000))
+    assert [len(k) for k in experiments.key_batches(7, 1, 0, 3, 5000)] == [1, 1, 1]
+
+
+@pytest.mark.parametrize("params,d,trials", [
+    (two_type_params(30, 0.5, 2), 0, _BATCH_30 + 17),  # crosses a batch boundary
+    (two_type_params(30, 0.5, 2), 3, 300),
+    (GraphParams(n=50, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)), 0, 300),
+], ids=["n30", "n30-d3", "3-class"])
+def test_batch_sizes_match_per_graph_reference(params, d, trials):
+    # each row against its own graph, drawn from its own stream and sized
+    # by breadth-first search; C02 reads these rows
+    rng = np.random.Generator(np.random.Philox(0))
+    rows = np.concatenate([experiments._batch_sizes(params, d, rng, keys)
+                           for keys in experiments.key_batches(31, 2, 0, trials, params.n)])
+    assert rows.shape == (trials, params.n)
+    for t, row in enumerate(rows):
+        stream = trial_stream(31, 2, t)
+        g = construct_r_type(params, stream)
+        view = delete_random_nodes(g, d, stream)[1] if d else g
+        dead = sorted(view.deleted)
+        assert (row[dead] == 1).all()  # a deleted node is a singleton
+        row = row.copy()
+        row[dead] = 0
+        sizes = connected_components_bfs(view).component_sizes
+        assert tuple(sorted(row[row > 0].tolist(), reverse=True)) == sizes
+        n_eff = view.n_effective
+        for x in range(1, n_eff // 3 + 1):
+            no_mid_cut = not has_cut_in_range(view, x, n_eff - x)
+            giant = view.components.cmax > n_eff - x
+            want = CutRangeImplication(x, no_mid_cut, giant, not no_mid_cut or giant)
+            assert cut_range_implication(row.tolist(), x) == want
+            assert cut_range_implication(sizes, x) == want
 
 
 def test_collect_cmax_returns_on_rarely_distinct_rows():
@@ -409,7 +451,7 @@ def _coupling_reference(target, trials, seed):
 
 @pytest.mark.parametrize("n, trials", [(150, 200), (4100, 3)])
 def test_coupling_batches_match_per_pair_reference(n, trials):
-    # 27 pairs a batch at n=150; one pair a batch above 4096 nodes
+    # 13 pairs (2n nodes each) a batch at n=150; one pair a batch above 2048 nodes
     target = GraphParams(n=n, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
     rep = coupling_experiment(target, trials, seed=29)
     assert (rep.edge_superset_violations, rep.cmax_violations, rep.avg_cmax_base,

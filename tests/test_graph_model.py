@@ -5,9 +5,16 @@ import numpy as np
 import pytest
 
 from koutlab import ParameterError
-from koutlab.graph_model import (GraphParams, assign_types, construct_r_type,
-                                 couple_extend, delete_random_nodes, draw_trial,
-                                 two_type_params, types_from_uniforms, union_arcs)
+from koutlab.graph_model import (GraphParams, construct_r_type, couple_extend,
+                                 delete_random_nodes, draw_trial, two_type_params,
+                                 types_from_uniforms, union_arcs)
+
+
+def selections(g):
+    """Every node's picks, sorted, nodes in order, read from the graph's arcs."""
+    src, dst = g.arcs
+    order = np.lexsort((dst, src))
+    return np.split(dst[order], np.cumsum(np.bincount(src, minlength=g.n))[:-1])
 
 
 def test_params_validation_rejects_bad_inputs():
@@ -55,8 +62,7 @@ def test_selection_sets_respect_construction_invariants():
                          type_selections=(1, 2, 4))
     for seed in range(25):
         g = construct_r_type(params, np.random.default_rng(seed))
-        for i in range(params.n):
-            sel = g.selection_set(i)
+        for i, sel in enumerate(selections(g)):
             assert len(sel) == params.type_selections[g.node_types[i]]
             assert i not in sel
             assert len(set(sel.tolist())) == len(sel)
@@ -66,7 +72,7 @@ def test_selection_sets_respect_construction_invariants():
 def test_adjacency_matches_selection_relation():
     params = two_type_params(40, 0.5, 3)
     g = construct_r_type(params, np.random.default_rng(7))
-    sel = [set(g.selection_set(i).tolist()) for i in range(params.n)]
+    sel = [set(s.tolist()) for s in selections(g)]
     eu, ev = g.edge_arrays()
     edges = set(zip(eu.tolist(), ev.tolist()))
     for i in range(params.n):
@@ -104,7 +110,7 @@ def test_three_nodes_with_k_two_is_always_connected():
 
 def test_type_assignment_frequency():
     params = two_type_params(100_000, 0.9, 2)
-    types = assign_types(params, np.random.default_rng(11))
+    types = types_from_uniforms(params, np.random.default_rng(11).random(params.n))
     frac_light = float((types == 0).mean())
     assert abs(frac_light - 0.9) < 0.005
 
@@ -156,7 +162,7 @@ def test_construction_draws_the_class_by_class_stream(params):
         g = construct_r_type(params, rng)
         types, picks = _class_by_class(params, ref)
         assert np.array_equal(g.node_types, types)
-        assert all(np.array_equal(g.selection_set(i), p) for i, p in enumerate(picks))
+        assert all(np.array_equal(s, p) for s, p in zip(selections(g), picks, strict=True))
         # both leave the stream at the same place
         assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
 
@@ -171,7 +177,7 @@ def test_selection_probability_matches_mean_over_ordered_pairs():
     rng = np.random.default_rng(42)
     for _ in range(draws):
         g = construct_r_type(params, rng)
-        hits += sum(len(g.selection_set(i)) for i in range(n))
+        hits += sum(len(s) for s in selections(g))
     pairs = draws * n * (n - 1)
     sigma = math.sqrt(p * (1 - p) / pairs)
     assert abs(hits / pairs - p) < 3 * sigma
@@ -195,8 +201,8 @@ def test_fixed_pair_adjacency_probability():
 
 def test_deletion_of_zero_nodes_is_identity():
     g = construct_r_type(two_type_params(25, 0.5, 2), np.random.default_rng(9))
-    spec, view = delete_random_nodes(g, 0, np.random.default_rng(1))
-    assert spec.d == 0 and spec.nodes == ()
+    nodes, view = delete_random_nodes(g, 0, np.random.default_rng(1))
+    assert nodes == ()
     assert view.n_effective == g.n
     assert np.array_equal(np.stack(view.edge_arrays()),
                           np.stack(g.edge_arrays()))
@@ -204,12 +210,12 @@ def test_deletion_of_zero_nodes_is_identity():
 
 def test_deletion_leaves_single_survivor_at_maximum_d():
     g = construct_r_type(two_type_params(12, 0.5, 2), np.random.default_rng(2))
-    spec, view = delete_random_nodes(g, 11, np.random.default_rng(4))
+    nodes, view = delete_random_nodes(g, 11, np.random.default_rng(4))
     assert view.n_effective == 1
     assert view.surviving().size == 1
     eu, _ = view.edge_arrays()
     assert eu.size == 0
-    assert len(spec.nodes) == 11
+    assert len(nodes) == 11
 
 
 def test_deletion_validates_range_and_keeps_base_intact():
@@ -219,12 +225,13 @@ def test_deletion_validates_range_and_keeps_base_intact():
         delete_random_nodes(g, 10, np.random.default_rng(0))
     with pytest.raises(ParameterError):
         delete_random_nodes(g, -1, np.random.default_rng(0))
-    spec, view = delete_random_nodes(g, 4, np.random.default_rng(0))
+    nodes, view = delete_random_nodes(g, 4, np.random.default_rng(0))
     assert g.edge_count == before  # base graph untouched
-    assert len(spec.nodes) == 4
-    assert all(0 <= x < g.n for x in spec.nodes)
+    assert len(nodes) == 4
+    assert all(0 <= x < g.n for x in nodes)
+    assert list(nodes) == sorted(nodes) and view.deleted == frozenset(nodes)
     surv = set(view.surviving().tolist())
-    assert surv.isdisjoint(spec.nodes)
+    assert surv.isdisjoint(nodes)
     assert len(surv) == 6
     eu, ev = view.edge_arrays()
     assert all(u in surv and v in surv for u, v in zip(eu.tolist(), ev.tolist()))
@@ -246,8 +253,7 @@ def test_coupling_output_contains_base_edges():
         ext_edges = set(zip(eu.tolist(), ev.tolist()))
         assert base_edges <= ext_edges
         # carried-over selections keep their size; reassigned ones grow
-        for i in range(target.n):
-            sel = ext.selection_set(i)
+        for i, sel in enumerate(selections(ext)):
             assert len(sel) == target.type_selections[ext.node_types[i]]
             assert i not in sel
 
@@ -298,7 +304,8 @@ def test_coupling_extension_draws_uniform_selection_sets():
     for _ in range(5000):
         ext = couple_extend(construct_r_type(base, rng), target, rng)
         rows = np.flatnonzero(ext.node_types == 1)
-        sel = ext.sel_flat[ext.sel_indptr[rows][:, None] + np.arange(3)]
+        sels = selections(ext)
+        sel = np.array([sels[i] for i in rows], dtype=np.int64).reshape(-1, 3)
         offsets = (sel - rows[:, None]) % 6
         np.add.at(counts, (1 << offsets).sum(axis=1), 1)
     cells = [sum(1 << j for j in c) for c in itertools.combinations(range(1, 6), 3)]
@@ -316,8 +323,9 @@ def test_rarely_distinct_rows_are_filled_column_by_column():
     assert params._fills_columns == (False, False, True)
     for seed in range(20):
         g = construct_r_type(params, np.random.default_rng(seed))
+        sels = selections(g)
         for i in np.flatnonzero(g.node_types == 2).tolist():
-            assert g.selection_set(i).tolist() == [j for j in range(20) if j != i]
+            assert sels[i].tolist() == [j for j in range(20) if j != i]
 
 
 def test_column_fill_is_uniform_over_subsets():
@@ -330,7 +338,8 @@ def test_column_fill_is_uniform_over_subsets():
     for _ in range(1500):
         g = construct_r_type(params, rng)
         rows = np.flatnonzero(g.node_types == 1)
-        sel = g.sel_flat[g.sel_indptr[rows][:, None] + np.arange(12)]
+        sels = selections(g)
+        sel = np.array([sels[i] for i in rows], dtype=np.int64).reshape(-1, 12)
         offsets = (sel - rows[:, None]) % 14  # 12 of 1..13, which sum to 91
         np.add.at(counts, 91 - offsets.sum(axis=1), 1)
     assert counts[0] == 0
