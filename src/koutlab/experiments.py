@@ -28,7 +28,7 @@ from .graph_model import (GraphParams, construct_r_type, couple_extend, draw_del
                           draw_trial, two_type_params, types_from_uniforms, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
-from .oracle import union_bound_sum
+from .oracle import _MAX_CLOSED_FORM_N, union_bound_sum
 
 THREADS_ENV = "KOUTLAB_THREADS"
 
@@ -374,8 +374,11 @@ def plausibility_floor(n, mu, k, trials):
     At that threshold the expected number of trials with more than M
     nodes outside the largest component is under 0.1, so seeing
     min_cmax < n - M is genuinely surprising; sweeps flag (never fail)
-    such points.
+    such points.  None also beyond the oracle's n cap, where the union
+    bound is not evaluated.
     """
+    if n > _MAX_CLOSED_FORM_N:
+        return None
     ev = union_bound_sum(n, mu, k, 1)
     suffix = np.cumsum(ev.terms[::-1])[::-1]
     hits = np.flatnonzero(suffix < 0.1 / trials)

@@ -3,20 +3,25 @@
 The closed forms here give the probability that a fixed r-node subset
 is a cut (no edge to its complement), optionally after deleting d
 uniformly random nodes, together with the union-bound sums over all
-subset sizes in [M, n/2], for n up to 10^7.  Everything is evaluated in
+subset sizes in [M, n/2], for n up to 10^6.  Everything is evaluated in
 log domain by default so n up to 10^6 neither overflows nor underflows;
-a direct float64 mode exists for cross-checking at small n.  Log mode
-inherits about 1e-4 relative error at n=10^6 (about 4e-9 at n=5000)
-from cancellation between math.lgamma log-factorials.  Every per-r
-term comes from one vectorized kernel, _cut_kernel, run on blocks of
-consecutive subset sizes.  Log mode first bounds every block of the
-union bound with one kernel call at the block ends, then evaluates only
-the blocks whose terms do not provably underflow to 0.0, so its output
-is the same as evaluating every block; direct mode skips nothing.
+a direct float64 mode exists for cross-checking at small n.  Both modes
+inherit relative error from cancellation between math.lgamma
+log-factorials: against 40-digit mpmath, union_bound_sum(n, 0.9, 2, 1)
+is off by 4e-9 at n=5000, 1.1e-6 at 10^5 and 1.1e-4 at 10^6, and a cut
+probability by 2.2e-4 at 10^6.  Past 10^6 the error grows to percents
+(2.7% and 2% at 10^7), so every closed-form query refuses n > 10^6.
+Every per-r term comes from one vectorized kernel, _cut_kernel, run on
+blocks of consecutive subset sizes.  Log mode first bounds every block
+of the union bound with one kernel call at the block ends, then
+evaluates only the blocks whose terms do not provably underflow to 0.0,
+so its output is the same as evaluating every block; direct mode skips
+nothing.
 
 exhaustive_event_probability enumerates every joint selection outcome
 (and every deletion set) on graphs of at most 7 nodes, aggregating
-exact integer counts by undirected edge signature, so any predicate's
+exact integer counts by undirected edge signature, an integer bitmask
+over the node pairs that predicates read directly, so any predicate's
 probability can be computed exactly.  It exists to validate the closed
 forms, whose per-node factorization is not obvious at first sight.
 """
@@ -35,10 +40,13 @@ from .component_analysis import _reference_sizes
 from .errors import ParameterError
 
 _MAX_ENUM_NODES = 7
-_MAX_BOUND_N = 10**7  # keeps a union-bound sum's terms array within 40 MB
+_MAX_CLOSED_FORM_N = 10**6  # where the lgamma error is still ~1e-4 (see above)
 
 
 def _check_common(n, mu, k):
+    if n > _MAX_CLOSED_FORM_N:
+        raise ParameterError(
+            f"closed-form oracle queries are limited to n <= {_MAX_CLOSED_FORM_N}")
     if not 0.0 < mu < 1.0:
         raise ParameterError("mu must lie strictly inside (0, 1)")
     if not 2 <= k < n:
@@ -98,9 +106,6 @@ def _cut_kernel(n, mu, k, d, starts, width):
     terms.  Every log-factorial is math.lgamma of an integer, read from
     spans that evaluate each integer once.
     """
-    if n >= 1 << 63:  # n - r - 1 below must be an int64
-        raise ParameterError(f"n must be below 2**63 to fit the cut kernel's int64 arrays, "
-                             f"got {n}")
     r = np.array(starts, dtype=np.int64)[:, None] + np.arange(width)
     lg = _lgamma_rows([a + i for i in (1, d, d - k) for a in starts]
                       + [n - a - width + i for i in (1, 1 - k, 2 - d) for a in starts],
@@ -243,8 +248,6 @@ def _bound_sum(n, mu, k, d, lo, mode):
     block whose _block_log_bounds entry shows that every term underflows,
     so its output matches the unskipped sum bit for bit."""
     _check_mode(mode)
-    if n > _MAX_BOUND_N:
-        raise ParameterError(f"union-bound sums are limited to n <= {_MAX_BOUND_N}")
     hi = (n - d) // 2
     starts = list(range(lo, hi + 1, _BLOCK))
     ends = [min(a + _BLOCK, hi + 1) - 1 for a in starts]
@@ -272,18 +275,24 @@ def _bound_sum(n, mu, k, d, lo, mode):
 class EnumeratedRealization:
     """One realized undirected graph plus a deletion set, for predicates.
 
-    edges is a tuple of (u, v) pairs with u < v over all n nodes;
-    queries (components, cuts) are answered on the subgraph induced by
-    the surviving nodes.
+    sig is the graph's edge signature over all n nodes: bit idx is set
+    when the idx-th pair of combinations(range(n), 2) is an edge.  edges
+    decodes it into (u, v) pairs with u < v.  Queries (components, cuts)
+    are answered on the subgraph induced by the surviving nodes.
     """
 
-    __slots__ = ("n", "edges", "deleted", "_sizes")
+    __slots__ = ("n", "sig", "deleted", "_sizes")
 
-    def __init__(self, n, edges, deleted=frozenset()):
+    def __init__(self, n, sig, deleted=frozenset()):
         self.n = n
-        self.edges = edges
+        self.sig = sig
         self.deleted = frozenset(deleted)
         self._sizes = None
+
+    @property
+    def edges(self):
+        return tuple(p for idx, p in enumerate(combinations(range(self.n), 2))
+                     if self.sig >> idx & 1)
 
     def surviving(self):
         return tuple(i for i in range(self.n) if i not in self.deleted)
@@ -303,66 +312,61 @@ class EnumeratedRealization:
         return len(self.component_sizes) == 1
 
     def is_cut(self, subset):
+        # checked on every call, not cached with the mask: cached, a d=0 call
+        # at n=6 can end within the 20 ms sampling period of perfbench's
+        # SpeedSampler, which then fails on it
         s = frozenset(subset)
         survivors = set(self.surviving())
         if not s or not s <= survivors or len(s) == len(survivors):
             raise ParameterError("cut subset must be a nonempty proper subset of the survivors")
-        dead = self.deleted
-        for u, v in self.edges:
-            if u in dead or v in dead:
-                continue
-            if (u in s) != (v in s):
-                return False
-        return True
+        return not self.sig & _cross_mask(self.n, s, self.deleted)
+
+
+@lru_cache(maxsize=1024)
+def _cross_mask(n, subset, deleted):
+    """The signature bits of the survivor pairs with exactly one end in
+    subset: subset is a cut iff a signature holds none of them."""
+    return sum(1 << idx for idx, (u, v) in enumerate(combinations(range(n), 2))
+               if u not in deleted and v not in deleted and (u in subset) != (v in subset))
 
 
 @lru_cache(maxsize=8)
 def _signature_table(n, k):
     """Aggregate all joint selection outcomes by undirected edge signature.
 
-    Returns (counts, sigs, edge_lists): counts[j, a] is the exact number
-    of joint outcomes with edge signature sigs[j] and a single-pick
-    nodes; edge_lists[j] decodes sigs[j] into (u, v) pairs.  Outcomes
-    are accumulated node by node over the (signature, a) state space, so
-    the cost is states x outcomes-per-node x n rather than the full
-    product space.
+    Returns (counts, sigs): counts[j, a] is the exact number of joint
+    outcomes with edge signature sigs[j] (bits as in EnumeratedRealization)
+    and a single-pick nodes.  Outcomes are accumulated node by node over
+    the (signature, a) state space, one outcome at a time into a dense
+    array, so the cost is states x outcomes-per-node x n rather than the
+    full product space, and memory is a few dense arrays (0.56 GB at n=7,
+    K=3).
     """
-    pairs = list(combinations(range(n), 2))
-    pair_bit = {p: 1 << idx for idx, p in enumerate(pairs)}
+    bit = {}
+    for idx, (u, v) in enumerate(combinations(range(n), 2)):
+        bit[u, v] = bit[v, u] = 1 << idx
     na = n + 1
-    nsig = 1 << len(pairs)
-
-    outcomes = []
-    for i in range(n):
-        others = [j for j in range(n) if j != i]
-        node_out = [(pair_bit[(min(i, j), max(i, j))], 1) for j in others]
-        for sub in combinations(others, k):
-            bits = 0
-            for j in sub:
-                bits |= pair_bit[(min(i, j), max(i, j))]
-            node_out.append((bits, 0))
-        outcomes.append(node_out)
+    size = na << n * (n - 1) // 2
 
     # float64 holds the counts exactly: totals stay far below 2**53
-    counts = np.zeros(nsig * na)
+    counts = np.zeros(size)
     counts[0] = 1.0
-    for node_out in outcomes:
+    for i in range(n):
+        # node i picks one pair bit (a single pick) or K distinct ones,
+        # whose sum is their union
+        picks = [bit[i, j] for j in range(n) if j != i]
+        outcomes = [(b, 1) for b in picks] + [(sum(sub), 0) for sub in combinations(picks, k)]
         support = np.flatnonzero(counts)
         vals = counts[support]
-        sig_part = support // na
-        a_part = support % na
-        keys = np.concatenate(
-            [((sig_part | eb) * na + a_part + single) for eb, single in node_out]
-        )
-        weights = np.tile(vals, len(node_out))
-        counts = np.bincount(keys, weights=weights, minlength=nsig * na)
+        sig_part, a_part = support // na, support % na
+        counts = np.zeros(size)
+        for bits, single in outcomes:
+            counts += np.bincount((sig_part | bits) * na + a_part + single,
+                                  weights=vals, minlength=size)
 
-    counts = counts.reshape(nsig, na)
+    counts = counts.reshape(-1, na)
     sigs = np.flatnonzero(counts.sum(axis=1))
-    edge_lists = []
-    for sig in sigs.tolist():
-        edge_lists.append(tuple(p for idx, p in enumerate(pairs) if sig >> idx & 1))
-    return counts[sigs].astype(np.int64), sigs, tuple(edge_lists)
+    return counts[sigs].astype(np.int64), sigs
 
 
 def _type_count_weights(n, k, mu):
@@ -389,16 +393,13 @@ def exhaustive_event_probability(n, mu, k, d, predicate) -> float:
     if not 0 <= d < n:
         raise ParameterError("need 0 <= d < n")
 
-    counts, _, edge_lists = _signature_table(n, k)
+    counts, sigs = _signature_table(n, k)
     weights = _type_count_weights(n, k, mu)
     total = Fraction(0)
     for dset in combinations(range(n), d):
         dfrozen = frozenset(dset)
-        mask = np.fromiter(
-            (bool(predicate(EnumeratedRealization(n, edges, dfrozen)))
-             for edges in edge_lists),
-            dtype=bool, count=len(edge_lists),
-        )
+        mask = np.fromiter((bool(predicate(EnumeratedRealization(n, sig, dfrozen)))
+                            for sig in sigs.tolist()), dtype=bool, count=len(sigs))
         per_a = counts[mask].sum(axis=0)
         for a, c in enumerate(per_a.tolist()):
             if c:

@@ -6,9 +6,11 @@ nothing on stdout and prints `parameter error: <condition>` on stderr,
 with no traceback.  `sweep` also reads config files holding one
 malformed line, or one value of a type its key does not take.  Flag values are passed as `--flag=value`, so argparse reads
 a leading minus as part of the value.  Cases draw n <= 40 (an `oracle
---r` query may draw an n beyond int64, which sizes no array) and at
-most 5 trials on one worker, so none builds a large graph, runs long or
-starts a process pool.
+--r` query may draw an n beyond the oracle's cap, which sizes no array) and
+at most 5 trials on one worker, so none builds a large graph, runs long or
+starts a process pool.  A valid but huge trial count, and `validate`
+with a level it does not know, run with the expensive call patched to
+raise, so a missing check fails the test instead of running it.
 """
 
 import io
@@ -19,7 +21,7 @@ from contextlib import redirect_stderr, redirect_stdout
 
 import pytest
 
-from koutlab import cli
+from koutlab import cli, experiments, validate
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -116,8 +118,8 @@ def invalid_oracle(draw, kind):
     if kind == "r-deleted":
         d = draw(st.integers(1, n + 5))
         return base + flags(d=d, r=draw(st.integers(-5, 0) | st.integers(max(1, n - d), 45)))
-    if kind == "r-beyond-int64":  # a valid query whose n the cut kernel cannot hold
-        query = flags(n=draw(st.integers(2**63, 10**30)), r=draw(st.integers(1, 5)))
+    if kind == "r-beyond-int64":  # a valid query beyond the closed forms' n cap
+        query = flags(n=draw(st.integers(10**6 + 1, 10**30)), r=draw(st.integers(1, 5)))
         return ["oracle"] + query + flags(d=draw(st.integers(0, 3)))
     if kind == "m":
         return base + flags(m=draw(st.integers(-5, 0) | st.integers(n // 2 + 1, 45)))
@@ -299,3 +301,33 @@ def test_config_value_of_the_wrong_type_exits_two(config_path, key, value):
              f"{key} = {value!r}"]
     config_path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     assert_named_rejection(["sweep", f"--config={config_path}"])
+
+
+@PROPERTY
+@given(trials=st.integers(2**32 + 1, 10**30), d=st.integers(0, 3))
+def test_sweep_with_too_many_trials_exits_two(trials, d):
+    def no_trials(*args):
+        raise AssertionError("a trial block ran")
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments, "_run_block", no_trials)
+        assert_named_rejection(["sweep"] + flags(sweep_param="d", sweep_values=d, n=30,
+                                                 trials=trials, seed=1),
+                               re.escape("need between 1 and 2**32 trials"))
+
+
+@PROPERTY
+@given(level=st.text().filter(lambda s: s not in ("quick", "full")))
+def test_validate_with_an_unknown_level_exits_two(level):
+    # argparse refuses the choice with its usage error, before any suite runs
+    def no_suites(*args):
+        raise AssertionError("a suite ran")
+
+    out, err = io.StringIO(), io.StringIO()
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(validate, "run_suites", no_suites)
+        with redirect_stdout(out), redirect_stderr(err), pytest.raises(SystemExit) as exit_:
+            cli.main(["validate", f"--level={level}"])
+    assert exit_.value.code == 2 and out.getvalue() == ""
+    assert "error: argument --level: invalid choice" in err.getvalue()
+    assert "Traceback" not in err.getvalue()

@@ -421,6 +421,18 @@ def test_plausibility_floor_pinned_values():
     assert plausibility_floor(30, 0.5, 2, 10**6) is None
 
 
+def test_plausibility_floor_is_none_beyond_the_oracle_cap(monkeypatch):
+    # a d=0 sweep past 10^6 once ran every trial and then exited 2 here
+    assert isinstance(plausibility_floor(10**6, 0.9, 2, 1), int)
+
+    def no_sum(*args):
+        raise AssertionError("the union bound ran")
+
+    monkeypatch.setattr(experiments, "union_bound_sum", no_sum)
+    for n in (10**6 + 1, 10**7 + 1, 10**30):
+        assert plausibility_floor(n, 0.9, 2, 1) is None
+
+
 def test_coupling_experiment_reports_no_violations():
     target = GraphParams(n=150, type_probs=(0.5, 0.3, 0.2),
                          type_selections=(1, 2, 4))

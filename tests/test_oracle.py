@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 
 import numpy as np
@@ -241,6 +242,49 @@ def test_enumerated_cut_rejects_deleted_nodes():
     # as component_analysis.is_cut does; node 0 is deleted in some outcomes
     with pytest.raises(ParameterError, match="subset of the survivors"):
         exhaustive_event_probability(4, 0.5, 2, 1, lambda g: g.is_cut({0, 1}))
+    # an out-of-range node, the empty set and the whole survivor set
+    for d, subset in ((0, lambda g: {0, 4}), (1, lambda g: set()), (0, lambda g: range(4)),
+                      (1, lambda g: g.surviving())):
+        with pytest.raises(ParameterError, match="^cut subset must be a nonempty proper "
+                                                 "subset of the survivors$"):
+            exhaustive_event_probability(4, 0.5, 2, d, lambda g: g.is_cut(subset(g)))
+
+
+# sha256 of counts.tobytes() and sigs.tobytes() of _signature_table,
+# recorded from the table built by concatenating every outcome's keys
+_TABLE_PINS = [
+    (5, 2, "79b8dafe167089068cce0ec48d07de1adf91b1b63afede522a8dd34129b386fd",
+     "a48e2456e5bc3c094412ea5457a1a15af4fe46ef68729be1d113332d15b8076c"),
+    (6, 2, "dbdfa816b2ec4d4c0f4a06eb8a1a337c59ab5a5639e55920c4421bd6c57aea44",
+     "ca8ee7fc98b53c0d039f0288328b90d42256d46dd276ce62ee068d52cfcb9b6d"),
+    (6, 3, "762ed4568ad5df19cff2da95e0d3acc742a3b6e6b2d7ac60332a7d628730d6ad",
+     "f5e4b25000df1dce006bf37cd0bce98dc95527524711b5e51a2e87161e5ad796"),
+]
+
+
+@pytest.mark.parametrize("n, k, counts_sha, sigs_sha", _TABLE_PINS)
+def test_signature_table_bits_are_pinned(n, k, counts_sha, sigs_sha):
+    counts, sigs = oracle._signature_table(n, k)
+    assert counts.dtype == sigs.dtype == np.int64
+    assert hashlib.sha256(counts.tobytes()).hexdigest() == counts_sha
+    assert hashlib.sha256(sigs.tobytes()).hexdigest() == sigs_sha
+
+
+def test_enumerated_cut_is_the_edge_walk():
+    # the signature mask against a walk over the decoded edges, for every
+    # seventh signature at n=5 and every cut of every deletion set, d <= 2
+    _, sigs = oracle._signature_table(5, 2)
+    for d in (0, 1, 2):
+        for dset in itertools.combinations(range(5), d):
+            alive = [i for i in range(5) if i not in dset]
+            subsets = [set(s) for r in range(1, len(alive))
+                       for s in itertools.combinations(alive, r)]
+            for sig in sigs.tolist()[::7]:
+                g = EnumeratedRealization(5, sig, dset)
+                for s in subsets:
+                    walk = not any((u in s) != (v in s) for u, v in g.edges
+                                   if u in alive and v in alive)
+                    assert g.is_cut(s) == walk
 
 
 def test_deleted_reduces_to_plain_at_d_zero():
