@@ -18,13 +18,15 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
 
 from .component_analysis import component_labels
 from .errors import ParameterError
-from .graph_model import (GraphParams, construct_r_type, couple_extend, draw_deleted,
+from .graph_model import (GraphParams, _distinct_columns, _first_draw, _redraw_repeats,
+                          _rows_with_repeats, construct_r_type, couple_extend, draw_deleted,
                           draw_trial, two_type_params, types_from_uniforms, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
@@ -165,32 +167,212 @@ def key_batches(master_seed, point_index, lo, hi, n):
             yield keys[b:b + step]
 
 
-def _batch_sizes(params, d, rng, keys) -> np.ndarray:
-    """Component sizes of the trials with these keys, labeled as one disjoint union.
+# What sharing the redraw rounds of a batch costs (_shares_rounds), in
+# redraw calls of a single trial: each round on the batch, and the set-up.
+_SHARED_ROUND_COST = 8
+_SHARED_SETUP_COST = 15
+# A trial's spare block holds the expected count of the picks it needs
+# after its first round plus this many standard deviations of that count.
+_SPARE_SIGMAS = 4
 
-    One generator serves every trial: it is rekeyed, then draws the
-    trial (draw_trial) and, with d > 0, the deleted nodes (draw_deleted).
-    Everything else runs on the whole batch; trial b's nodes are offset
-    by b*n.  Row b, entry i of the (B, n) result is the size of trial b's
-    component whose smallest node is i, and 0 where i is not the
-    smallest; a deleted node is left a singleton, size 1.
+
+def _redraw_calls(params, trials) -> float:
+    """Expected redraw calls (capped at 64 a column) of `trials` trials
+    drawn together under draw_trial's rules: a call per round of the
+    slowest row, each class holding trials * n * mu rows, and one call
+    for each later class's first rows.  A row needs r or more redraws
+    with probability f**r, f its chance of a repeat (of the whole row,
+    or per column of a column-filled class)."""
+    m, first = params.n - 1, params._first_rows
+    rounds = np.arange(1, 65)[:, None]
+    calls = params.r - 1 - first
+    for t in range(first, params.r):
+        k, rows = params.type_selections[t], trials * params.n * params.type_probs[t]
+        fail = np.arange(1, k) / m if params._fills_columns[t] else np.array([1 - params._row_accept[t]])
+        calls += float((1 - (1 - fail ** rounds) ** rows).sum())
+    return calls
+
+
+@lru_cache(maxsize=64)
+def _shares_rounds(params, trials) -> bool:
+    """Whether _batch_draw runs the redraw rounds of a batch of this many
+    trials on the whole batch: when the calls the trials would make one
+    at a time outweigh the rounds of the batch as a whole (_redraw_calls),
+    priced at _SHARED_ROUND_COST each plus _SHARED_SETUP_COST.  So a lone
+    trial (above 2048 nodes) and rows that are rarely redrawn (K = 2 at
+    n = 100, say) keep to draw_trial."""
+    return trials > 1 and (trials * _redraw_calls(params, 1)
+                           >= _SHARED_SETUP_COST + _SHARED_ROUND_COST * _redraw_calls(params, trials))
+
+
+def _spare_size(params, bad, counts) -> int:
+    """The picks of a trial's spare block (_batch_draw): its redraws of the
+    _first_draw class's bad rows (of every row when that class is
+    column-filled) and every row of the classes after it, in expectation
+    plus _SPARE_SIGMAS standard deviations."""
+    f, moments = params._first_rows, params._row_pick_moments
+    mean, var = moments[f]
+    if params._fills_columns[f]:
+        mean, var = counts[f] * (mean - params.type_selections[f]), counts[f] * var
+    else:
+        mean, var = bad * mean, bad * var
+    for c, (m, v) in zip(counts[f + 1:], moments[f + 1:]):
+        mean, var = mean + c * m, var + c * v
+    return math.ceil(mean + _SPARE_SIGMAS * math.sqrt(var))
+
+
+class _Spares:
+    """The batch's spare blocks in one array, and a cursor into each
+    (blocks[b] is trial b's, or None).
+
+    taker(owner) returns the take of _redraw_repeats and _distinct_columns
+    for one class's rows, owner[i] being the trial of row i: each listed
+    row gets the next width picks of its trial's block, a trial's rows
+    in row order.  A trial whose block runs out is marked failed, and its
+    rows are served no more.
     """
-    n = params.n
-    xs, blocks, dead = [], [], []
-    for key in keys:
+
+    def __init__(self, blocks):
+        size = np.array([0 if block is None else block.size for block in blocks])
+        self.flat = np.concatenate([block for block in blocks if block is not None])
+        self.end = np.cumsum(size)
+        self.start = self.end - size
+        self.pos = self.start.copy()
+        self.failed = np.zeros(size.size, dtype=bool)
+
+    def taker(self, owner):
+        def take(rows, width):
+            trial = owner[rows]  # non-decreasing: rows are listed in order
+            wanted = np.bincount(trial, minlength=self.pos.size) * width
+            self.failed |= self.pos + wanted > self.end
+            served = ~self.failed[trial]
+            rows, trial = rows[served], trial[served]
+            # a trial's i-th listed row starts i*width past its cursor
+            first = self.pos[trial] + (np.arange(trial.size) - np.searchsorted(trial, trial)) * width
+            self.pos += wanted
+            return rows, self.flat[first[:, None] + np.arange(width)]
+        return take
+
+
+def _trial_by_trial(params, d, rng, keys):
+    """_batch_draw's result drawn one trial at a time: rekey, draw_trial,
+    and with d > 0 draw_deleted."""
+    xs, blocks = [], []
+    dead = np.empty((len(keys), d), dtype=np.int64)
+    for b, key in enumerate(keys):
         _rekey(rng, key)
         x, picks = draw_trial(params, rng)
         xs.append(x)
         blocks.append(picks)
         if d:
-            dead.append(draw_deleted(n, d, rng))
-    u, v = union_arcs(params, types_from_uniforms(params, np.stack(xs)),
-                      [np.concatenate(c) for c in zip(*blocks)])
+            dead[b] = draw_deleted(params.n, d, rng)
+    return types_from_uniforms(params, np.stack(xs)), [np.concatenate(c) for c in zip(*blocks)], dead
+
+
+def _first_rounds(params, d, rng, keys):
+    """_batch_draw's loop over the trials.  Returns (types, blocks,
+    counts, spares, states, dead): blocks holds the _first_draw picks,
+    spares[b] trial b's spare block (None without one), states[b] its
+    state before the block when d > 0, and dead[b] its deleted nodes
+    when it has no block."""
+    n, f = params.n, params._first_rows
+    small = np.min_scalar_type(-n)  # holds every raw pick, each in [0, n-1)
+    xs, counts, heads, rows, spares, states = [], [], [], [], [], {}
+    dead = np.empty((len(keys), d), dtype=np.int64)
+    for b, key in enumerate(keys):
+        _rekey(rng, key)
+        x, c, head, picks = _first_draw(params, rng)
+        xs.append(x)
+        counts.append(c)
+        heads.append(head)
+        rows.append(picks)
+        bad = _rows_with_repeats(picks.reshape(-1, params.type_selections[f])).size
+        if bad or any(c[f + 1:]):
+            if d:
+                states[b] = rng.bit_generator.state
+            spare = rng.integers(0, n - 1, size=_spare_size(params, bad, c), dtype=np.int32)
+            spares.append(spare.astype(small))
+        else:
+            spares.append(None)
+            if d:
+                dead[b] = draw_deleted(n, d, rng)
+    blocks = [np.concatenate(heads)] * f + [np.concatenate(rows)]
+    return types_from_uniforms(params, np.stack(xs)), blocks, counts, spares, states, dead
+
+
+def _batch_draw(params, d, rng, keys):
+    """draw_trial and draw_deleted for the trials with these keys, drawn
+    as they draw them, with the redraw rounds run on the whole batch.
+
+    Returns (types, blocks, dead): the (B, n) node types, each class's
+    picks concatenated in trial order (union_arcs' blocks), and the
+    (B, d) deleted nodes.  One generator serves every trial.  Per trial
+    it is rekeyed and makes draw_trial's first calls (_first_draw, in
+    _first_rounds): the type uniforms and the integers call of the first
+    class with k >= 2 (with the single picks ahead of it).  A trial with
+    a repeated row there, or with rows in a later class, then draws one
+    spare block of raw picks (_spare_size) as int32, which consumes the
+    stream as the int64 calls of draw_trial do.  Calls with one bound
+    consume the stream in turn, so the picks draw_trial would draw next
+    are that block's, in order.  The redraw rounds (_redraw_repeats,
+    _distinct_columns) and the later classes' first rows are then
+    carved from the blocks for all trials at once, class by class, one
+    cursor per trial (_Spares).  A trial whose block runs out is drawn
+    again through draw_trial.  With d > 0 a trial without a block draws
+    its deleted nodes right away; one with a block returns to its state
+    from before the block, draws again the picks it used, then its
+    deleted nodes.
+    """
+    if not _shares_rounds(params, len(keys)):
+        return _trial_by_trial(params, d, rng, keys)
+    n, ks, first = params.n, params.type_selections, params._first_rows
+    types, blocks, counts, spares, states, dead = _first_rounds(params, d, rng, keys)
+    if all(block is None for block in spares):
+        return types, blocks, dead
+    counts = np.array(counts)
+    spare = _Spares(spares)
+    trials = np.arange(len(keys))
+    for t in range(first, params.r):
+        owner = np.repeat(trials, counts[:, t])
+        if t == first:
+            block = blocks[t].reshape(-1, ks[t])
+        else:
+            block = np.zeros((owner.size, ks[t]), dtype=np.int64)
+            served, picks = spare.taker(owner)(np.arange(owner.size), ks[t])
+            block[served] = picks
+            blocks.append(block.ravel())
+        redraw = _distinct_columns if params._fills_columns[t] else _redraw_repeats
+        redraw(spare.taker(owner), block)
+    for b in np.flatnonzero(spare.failed):
+        _, exact, dead[b:b + 1] = _trial_by_trial(params, d, rng, keys[b:b + 1])
+        for t in range(first, params.r):
+            at = counts[:b, t].sum() * ks[t]
+            blocks[t][at:at + exact[t].size] = exact[t]
+    for b, state in states.items():
+        if not spare.failed[b]:
+            rng.bit_generator.state = state
+            rng.integers(0, n - 1, size=spare.pos[b] - spare.start[b], dtype=np.int32)
+            dead[b] = draw_deleted(n, d, rng)
+    return types, blocks, dead
+
+
+def _batch_sizes(params, d, rng, keys) -> np.ndarray:
+    """Component sizes of the trials with these keys, labeled as one disjoint union.
+
+    The trials are drawn by _batch_draw; everything after the draw runs
+    on the whole batch, and trial b's nodes are offset by b*n.  Row b,
+    entry i of the (B, n) result is the size of trial b's component
+    whose smallest node is i, and 0 where i is not the smallest; a
+    deleted node is left a singleton, size 1.
+    """
+    n = params.n
+    types, blocks, dead = _batch_draw(params, d, rng, keys)
+    u, v = union_arcs(params, types, blocks)
     nodes = len(keys) * n
     if d:
         alive = np.ones(nodes, dtype=bool)
         starts = np.arange(len(keys), dtype=np.int64) * n
-        alive[(np.stack(dead) + starts[:, None]).ravel()] = False
+        alive[(dead + starts[:, None]).ravel()] = False
         keep = alive[u] & alive[v]
         # a deleted node is left a singleton, never larger than a survivor's component
         u, v = u[keep], v[keep]

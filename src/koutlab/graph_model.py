@@ -76,11 +76,21 @@ class GraphParams:
         return len(self.type_probs)
 
     @cached_property
+    def _first_rows(self) -> int:
+        """The class whose rows draw_trial's first integers call draws: 1
+        when class 0 makes single picks, which join that call, else 0."""
+        return int(self.type_selections[0] == 1)
+
+    @cached_property
+    def _row_accept(self) -> tuple[float, ...]:
+        """Per class, the probability (n-1)!/((n-1-k)! (n-1)^k) that a row
+        of k uniform raw picks is all distinct."""
+        return tuple(prod(1.0 - j / (self.n - 1) for j in range(k)) for k in self.type_selections)
+
+    @cached_property
     def _fills_columns(self) -> tuple[bool, ...]:
-        """Per class, whether a row of k uniform picks, all distinct with
-        probability (n-1)!/((n-1-k)! (n-1)^k), is too rarely distinct to redraw whole."""
-        return tuple(prod(1.0 - j / (self.n - 1) for j in range(k)) < _ROW_ACCEPT_MIN
-                     for k in self.type_selections)
+        """Per class, whether its rows are too rarely distinct to redraw whole."""
+        return tuple(p < _ROW_ACCEPT_MIN for p in self._row_accept)
 
     @cached_property
     def cum_probs(self) -> np.ndarray:
@@ -88,6 +98,31 @@ class GraphParams:
         cum = np.cumsum(self.type_probs)
         cum.flags.writeable = False
         return cum
+
+    @cached_property
+    def _row_pick_moments(self) -> tuple[tuple[float, float], ...]:
+        """Per class, (mean, variance) of the raw picks one row takes until
+        it is distinct under draw_trial's rule, its first k picks included.
+
+        A whole-row class draws Geometric(p) rows of k picks, p its
+        _row_accept.  A column-filled class draws its k picks and then, at
+        column j, a Geometric number of redraws that each repeat one of
+        the j earlier picks with probability q = j/(n-1): mean q/(1-q),
+        variance q/(1-q)**2."""
+        out = []
+        for k, p, columns in zip(self.type_selections, self._row_accept, self._fills_columns):
+            if columns:
+                q = np.arange(1, k) / (self.n - 1)
+                out.append((k + float((q / (1 - q)).sum()), float((q / (1 - q) ** 2).sum())))
+            else:
+                out.append((k / p, k * k * (1 - p) / (p * p)))
+        return tuple(out)
+
+    @cached_property
+    def _inner_edges(self) -> tuple[float, ...]:
+        """cum_probs but the last, as Python floats, which numpy compares
+        with an array faster than its own scalars."""
+        return tuple(self.cum_probs[:-1].tolist())
 
     @property
     def mean_selections(self) -> float:
@@ -204,30 +239,61 @@ def _rows_with_repeats(sel) -> np.ndarray:
     return (s[:, 1:] == s[:, :-1]).any(axis=1).nonzero()[0]
 
 
-def _redraw_repeats(rng, rows, n):
+def _fresh_picks(rng, n):
+    """The take of one generator: each listed row gets width new raw picks
+    from rng, rows in order (see _redraw_repeats)."""
+    return lambda rows, width: (rows, rng.integers(0, n - 1, size=(rows.size, width)))
+
+
+def _redraw_repeats(take, rows):
     """Redraw, in place, every row of raw picks that holds a value twice.
 
+    take(bad, width) hands the listed rows width new picks each, in row
+    order, and returns (the rows it served, their picks); a row it does
+    not serve is left as it is (_fresh_picks serves every row).
     Accepting the first all-distinct draw of a row keeps it uniform over
     the k-subsets.  Rows are checked before the self-avoiding shift,
     which is monotone within a row and so keeps repeats as they are.
     """
     bad = _rows_with_repeats(rows)
     while bad.size:
-        redo = rng.integers(0, n - 1, size=(bad.size, rows.shape[1]))
+        bad, redo = take(bad, rows.shape[1])
         rows[bad] = redo
         bad = bad[_rows_with_repeats(redo)]
 
 
-def _distinct_columns(rng, rows, n):
+def _distinct_columns(take, rows):
     """Make every row of raw picks distinct, in place: from column 1 on,
-    each pick that repeats an earlier one of its row is redrawn until it
-    does not.  Rows end uniform over the k-subsets, as with _redraw_repeats,
-    and no pick needs more than n-1 redraws in expectation."""
+    each pick that repeats an earlier one of its row is redrawn (take,
+    as in _redraw_repeats, with width 1) until it does not.  Rows end
+    uniform over the k-subsets, as with _redraw_repeats, and no pick
+    needs more than n-1 redraws in expectation."""
     for j in range(1, rows.shape[1]):
         bad = (rows[:, :j] == rows[:, j:j + 1]).any(axis=1).nonzero()[0]
         while bad.size:
-            rows[bad, j] = rng.integers(0, n - 1, size=bad.size)
+            bad, redo = take(bad, 1)
+            rows[bad, j] = redo[:, 0]
             bad = bad[(rows[bad, :j] == rows[bad, j:j + 1]).any(axis=1)]
+
+
+def _first_draw(params: GraphParams, rng):
+    """draw_trial's first calls: the type uniforms and the first integers call.
+
+    Returns (x, counts, head, rows).  x = rng.random(n) are the type
+    uniforms and counts the class sizes they give (the counts of
+    types_from_uniforms(params, x)).  The call draws the rows of class
+    f, the first class with k >= 2 picks, in one flat array; f is
+    params._first_rows, 1 when class 0 makes single picks, and then
+    class 0's picks (head) come first in the same call.
+    """
+    n, f = params.n, params._first_rows
+    x = rng.random(n)
+    above = [n] + [np.count_nonzero(x >= e) for e in params._inner_edges] + [0]
+    counts = [above[t] - above[t + 1] for t in range(params.r)]
+    lead = counts[0] if f else 0
+    size = lead + counts[f] * params.type_selections[f]
+    picks = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
+    return x, counts, picks[:lead], picks[lead:]
 
 
 def draw_trial(params: GraphParams, rng):
@@ -240,26 +306,29 @@ def draw_trial(params: GraphParams, rng):
     k >= 2 picks is drawn and then redrawn until its rows are distinct
     before the next class is drawn.  Selection counts increase, so only
     class 0 can make single picks; they never repeat, so they are drawn
-    by the same integers call as class 1's, which draws the same numbers
-    as two calls because calls with one bound consume the stream in turn.
-    A class whose whole rows are rarely distinct (GraphParams._fills_columns)
-    redraws single picks instead (_distinct_columns).
+    by the same integers call as class 1's (_first_draw), which draws the
+    same numbers as two calls because calls with one bound consume the
+    stream in turn.  A class whose whole rows are rarely distinct
+    (GraphParams._fills_columns) redraws single picks instead
+    (_distinct_columns).
+
+    The same fact lets the sweep engine (experiments._batch_draw), where
+    trials redraw often, make _first_draw's calls as they are, draw every
+    later pick in one larger call, and run the redraw rounds of a whole
+    batch at once: its picks equal these.  This function stays the
+    per-graph path (construct_r_type, the coupling, the engine's other
+    batches and its fallback) and the engine's reference.
     """
-    n, ks = params.n, params.type_selections
-    x = rng.random(n)
-    above = [n] + [np.count_nonzero(x >= e) for e in params.cum_probs[:-1]] + [0]
-    sizes = [(above[t] - above[t + 1]) * k for t, k in enumerate(ks)]
-    joint = ks[0] == 1
-    blocks = []
-    for t in range(int(joint), len(ks)):
-        lead = sizes[0] if joint and t == 1 else 0
-        size = lead + sizes[t]
-        raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
-        if joint and t == 1:
-            blocks.append(raw[:lead])
-            raw = raw[lead:]
+    n, ks, f = params.n, params.type_selections, params._first_rows
+    x, counts, head, raw = _first_draw(params, rng)
+    take = _fresh_picks(rng, n)
+    blocks = [head] if f else []
+    for t in range(f, params.r):
+        if t > f:
+            size = counts[t] * ks[t]
+            raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
         redraw = _distinct_columns if params._fills_columns[t] else _redraw_repeats
-        redraw(rng, raw.reshape(-1, ks[t]), n)
+        redraw(take, raw.reshape(-1, ks[t]))
         blocks.append(raw)
     return x, blocks
 
@@ -353,7 +422,7 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
     for t, k in enumerate(target.type_selections[:-1]):
         kept = g2.blocks[0][drawn == t]  # each class-t node's raw pick from g2
         rows = np.column_stack([kept, rng.integers(0, n - 1, size=(kept.size, k - 1))])
-        _distinct_columns(rng, rows, n)
+        _distinct_columns(_fresh_picks(rng, n), rows)
         blocks.append(rows.ravel())
     blocks.append(g2.blocks[1])
     return KoutGraph(target, types, tuple(blocks))

@@ -10,15 +10,18 @@ a leading minus as part of the value.  Cases draw n <= 40 (an `oracle
 at most 5 trials on one worker, so none builds a large graph, runs long or
 starts a process pool.  A valid but huge trial count, and `validate`
 with a level it does not know, run with the expensive call patched to
-raise, so a missing check fails the test instead of running it.
+raise, so a missing check fails the test instead of running it.  Worker
+counts up to 10^30 run against a stand-in pool that records the size it
+is asked for, on a machine patched to report four CPUs.
 """
 
 import io
 import keyword
 import math
 import re
-from contextlib import redirect_stderr, redirect_stdout
+from contextlib import contextmanager, redirect_stderr, redirect_stdout
 
+import numpy as np
 import pytest
 
 from koutlab import cli, experiments, validate
@@ -331,3 +334,86 @@ def test_validate_with_an_unknown_level_exits_two(level):
     assert exit_.value.code == 2 and out.getvalue() == ""
     assert "error: argument --level: invalid choice" in err.getvalue()
     assert "Traceback" not in err.getvalue()
+
+
+class _SizedPool:
+    """Stands in for ProcessPoolExecutor: records max_workers, maps in process."""
+
+    sizes = []
+
+    def __init__(self, max_workers):
+        self.sizes.append(max_workers)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        return False
+
+    def map(self, fn, tasks):
+        return map(fn, tasks)
+
+
+CPUS = 4  # os.cpu_count() while a worker count is tested
+# 1200 trials make five tasks of 256, so any request of four or more
+# workers asks for the whole (patched) machine
+POOL_SWEEP = ["sweep"] + flags(sweep_param="mu", sweep_values=0.5, n=10, k=2, trials=1200,
+                               seed=1)
+
+
+@contextmanager
+def sized_pool(threads="1"):
+    """The pool sizes asked for inside the block, with CPUS CPUs and
+    KOUTLAB_THREADS set to threads."""
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments.os, "cpu_count", lambda: CPUS)
+        mp.setattr(experiments, "ProcessPoolExecutor", _SizedPool)
+        mp.setattr(_SizedPool, "sizes", [])
+        mp.setenv(experiments.THREADS_ENV, threads)
+        yield _SizedPool.sizes
+
+
+huge_count = st.integers(-10**30, 10**30) | st.integers(2, 10**30)
+
+
+@PROPERTY
+@given(workers=huge_count, form=st.sampled_from(["{}", " {} ", "\t{}\n"]))
+def test_huge_thread_counts_start_a_bounded_pool(workers, form):
+    with sized_pool(form.format(workers)) as sizes:
+        code, out, err = run(POOL_SWEEP)
+    assert code == 0 and out.startswith("sweep_param,value,") and "Traceback" not in err
+    assert sizes == ([min(workers, CPUS)] if workers >= 2 else [])
+
+
+@PROPERTY
+@given(value=garbage | st.just("1e3") | st.just("2.5"))
+def test_non_integer_thread_counts_exit_two(value):
+    with sized_pool(value) as sizes:
+        assert_named_rejection(POOL_SWEEP, re.escape(f"{experiments.THREADS_ENV} must be an "
+                                                      f"integer, got {value!r}"))
+    assert sizes == []
+
+
+@PROPERTY
+@given(workers=huge_count)
+def test_sweep_has_no_workers_flag(workers):
+    # the worker count comes from KOUTLAB_THREADS alone: argparse refuses
+    # the flag with its usage error, before any trial runs
+    out, err = io.StringIO(), io.StringIO()
+    with (sized_pool("64") as sizes, redirect_stdout(out), redirect_stderr(err),
+          pytest.raises(SystemExit) as exit_):
+        cli.main(POOL_SWEEP + [f"--workers={workers}"])
+    assert exit_.value.code == 2 and out.getvalue() == ""
+    assert "error: unrecognized arguments: --workers" in err.getvalue()
+    assert "Traceback" not in err.getvalue() and sizes == []
+
+
+@PROPERTY
+@given(workers=huge_count)
+def test_huge_worker_arguments_start_a_bounded_pool(workers):
+    # an explicit workers= argument wins over KOUTLAB_THREADS
+    params = experiments.two_type_params(10, 0.5, 2)
+    with sized_pool("64") as sizes:
+        got = experiments.collect_cmax(params, 0, 1200, seed=1, workers=workers)
+    assert sizes == ([min(workers, CPUS)] if workers >= 2 else [])
+    assert np.array_equal(got, experiments.collect_cmax(params, 0, 1200, seed=1, workers=1))

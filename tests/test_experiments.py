@@ -15,7 +15,8 @@ from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  render_csv, resolve_workers, run_point,
                                  run_sweep, trial_keys, trial_stream)
 from koutlab.graph_model import (GraphParams, construct_r_type, couple_extend,
-                                 delete_random_nodes, two_type_params)
+                                 delete_random_nodes, draw_deleted, draw_trial,
+                                 two_type_params, types_from_uniforms)
 
 
 def test_trial_streams_are_reproducible_and_independent():
@@ -87,18 +88,32 @@ def test_key_batches_cover_the_range_in_order():
     assert [len(k) for k in experiments.key_batches(7, 1, 0, 3, 5000)] == [1, 1, 1]
 
 
-@pytest.mark.parametrize("params,d,trials", [
+# class 1 is redrawn in a third of its rows, and class 2 follows it in the stream
+_MIDDLE_REDRAWN = GraphParams(n=40, type_probs=(0.4, 0.3, 0.3), type_selections=(1, 6, 12))
+# draws whose full batches share their redraw rounds (_shares_rounds)
+_SHARED_CASES = [
     (two_type_params(30, 0.5, 2), 0, _BATCH_30 + 17),  # crosses a batch boundary
     (two_type_params(30, 0.5, 2), 3, 300),
     (GraphParams(n=50, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)), 0, 300),
-], ids=["n30", "n30-d3", "3-class"])
-def test_batch_sizes_match_per_graph_reference(params, d, trials):
+    (two_type_params(40, 0.5, 12), 0, 250),  # 15% of heavy rows come out distinct
+    (two_type_params(40, 0.5, 8), 3, 250),  # deletes after redraws
+    (two_type_params(6, 0.8, 5), 2, 1400),  # rows distinct 3.8% of the time: falls back
+    (two_type_params(40, 0.5, 25), 0, 200),  # a column-filled class
+    (_MIDDLE_REDRAWN, 2, 250),
+]
+_SHARED_IDS = ["n30", "n30-d3", "3-class", "n40-K12", "n40-K8-d3", "n6-K5-d2",
+               "n40-K25-columns", "3-class-middle-d2"]
+
+
+def _batched_rows(params, d, trials):
+    rng = np.random.Generator(np.random.Philox(0))
+    return np.concatenate([experiments._batch_sizes(params, d, rng, keys)
+                           for keys in experiments.key_batches(31, 2, 0, trials, params.n)])
+
+
+def _assert_rows_match_per_graph_reference(params, d, rows):
     # each row against its own graph, drawn from its own stream and sized
     # by breadth-first search; C02 reads these rows
-    rng = np.random.Generator(np.random.Philox(0))
-    rows = np.concatenate([experiments._batch_sizes(params, d, rng, keys)
-                           for keys in experiments.key_batches(31, 2, 0, trials, params.n)])
-    assert rows.shape == (trials, params.n)
     for t, row in enumerate(rows):
         stream = trial_stream(31, 2, t)
         g = construct_r_type(params, stream)
@@ -116,6 +131,94 @@ def test_batch_sizes_match_per_graph_reference(params, d, trials):
             want = CutRangeImplication(x, no_mid_cut, giant, not no_mid_cut or giant)
             assert cut_range_implication(row.tolist(), x) == want
             assert cut_range_implication(sizes, x) == want
+
+
+def _count_fallbacks(monkeypatch):
+    """The key counts of the _trial_by_trial calls to come; on the shared
+    path each is a fallback, one trial at a time."""
+    calls = []
+    by_trial = experiments._trial_by_trial
+
+    def counted(params, d, rng, keys):
+        calls.append(len(keys))
+        return by_trial(params, d, rng, keys)
+
+    monkeypatch.setattr(experiments, "_trial_by_trial", counted)
+    return calls
+
+
+@pytest.mark.parametrize("params,d,trials", _SHARED_CASES, ids=_SHARED_IDS)
+def test_batch_sizes_match_per_graph_reference(params, d, trials):
+    rows = _batched_rows(params, d, trials)
+    assert rows.shape == (trials, params.n)
+    _assert_rows_match_per_graph_reference(params, d, rows)
+
+
+@pytest.mark.parametrize("params,d,trials", [_SHARED_CASES[i] for i in (1, 3, 4, 7)],
+                         ids=[_SHARED_IDS[i] for i in (1, 3, 4, 7)])
+def test_batch_sizes_fall_back_without_spares(monkeypatch, params, d, trials):
+    # with empty spare blocks every trial that redraws, or has later
+    # classes, runs out at once and is drawn again through draw_trial
+    fallbacks = _count_fallbacks(monkeypatch)
+    monkeypatch.setattr(experiments, "_shares_rounds", lambda *args: True)
+    monkeypatch.setattr(experiments, "_spare_size", lambda *args: 0)
+    rows = _batched_rows(params, d, trials)
+    assert fallbacks and set(fallbacks) == {1}
+    _assert_rows_match_per_graph_reference(params, d, rows)
+
+
+# the trials of _SHARED_CASES that exhaust their spare blocks
+_RUNS_OUT = {(two_type_params(40, 0.5, 8), 3): 1, (two_type_params(6, 0.8, 5), 2): 5}
+
+
+def _per_trial_draws(params, d, lo, hi):
+    # draw_trial and draw_deleted on trial_stream: the reference draw
+    types, blocks, dead = [], [], []
+    for t in range(lo, hi):
+        stream = trial_stream(31, 2, t)
+        x, picks = draw_trial(params, stream)
+        types.append(types_from_uniforms(params, x))
+        blocks.append(picks)
+        dead.append(draw_deleted(params.n, d, stream) if d else np.empty(0, dtype=np.int64))
+    return np.stack(types), [np.concatenate(c) for c in zip(*blocks)], np.stack(dead)
+
+
+@pytest.mark.parametrize("shared", [True, False], ids=["shared", "cost-model"])
+@pytest.mark.parametrize("params,d,trials", _SHARED_CASES + [
+    (two_type_params(1000, 0.9, 2), 20, 9),  # four trials a batch
+    (two_type_params(5000, 0.9, 2), 20, 2),  # one trial a batch
+    (GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19)), 1, 60),
+], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2"])
+def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials, shared):
+    # every pick, type and deleted node equals the per-trial draw's, with
+    # the rounds on the whole batch or wherever the cost model puts them
+    fallbacks = _count_fallbacks(monkeypatch)
+    if shared:
+        monkeypatch.setattr(experiments, "_shares_rounds", lambda *args: True)
+    rng = np.random.Generator(np.random.Philox(0))
+    lo = 0
+    for keys in experiments.key_batches(31, 2, 0, trials, params.n):
+        types, blocks, dead = experiments._batch_draw(params, d, rng, keys)
+        want_types, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
+        assert np.array_equal(types, want_types)
+        assert len(blocks) == params.r
+        assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks))
+        assert dead.shape == (len(keys), d) and np.array_equal(dead, want_dead)
+        lo += len(keys)
+    if shared:  # the trials whose spare block ran out; 4 sigma leaves few
+        assert fallbacks == [1] * _RUNS_OUT.get((params, d), 0)
+
+
+@pytest.mark.parametrize("params,trials,shared", [
+    (two_type_params(30, 0.5, 2), 136, True),  # the C07 point: ~0.4 redraw calls a trial
+    (two_type_params(40, 0.5, 8), 102, True),
+    (two_type_params(40, 0.5, 12), 102, True),  # ~21 redraw calls a trial
+    (two_type_params(100, 0.5, 2), 40, False),
+    (two_type_params(1000, 0.9, 2), 4, False),
+    (two_type_params(5000, 0.5, 400), 1, False),  # many rounds, but nobody to share them with
+])
+def test_redraw_rounds_are_shared_where_they_pay(params, trials, shared):
+    assert experiments._shares_rounds(params, trials) is shared
 
 
 def test_collect_cmax_returns_on_rarely_distinct_rows():
@@ -222,10 +325,20 @@ _SWEEP_HASHES = [
     (dict(sweep_param="d", sweep_values=(0, 5, 20), n=200, mu=0.7, k=2, trials=400),
      "bc536d671ac6c963e3f3437dc78b20198e7ce1f2a68e71550f755ae88e408bc5",
      "8e041e9bbabf991dc8aad2988ed554c5290b94c033fb8e44254eafe706f37a58"),
+    # heavy redraws, recorded from draw_trial's own rounds before they ran on
+    # the batch; every trial here is connected but for the deletions, so the
+    # bytes pin little of the draw, which test_batch_draw_is_draw_trial pins
+    (dict(sweep_param="K", sweep_values=(8, 12), n=40, mu=0.5, trials=300),
+     "28b5306e72fdc7a6921797d090d38b1c75f7a2a91c890a74b6ffc4603a8a8915",
+     "72d5f95c57fdec2601a2c29c94a06465b3ded755deac9c16a451f7cc7d5c2404"),
+    (dict(sweep_param="d", sweep_values=(0, 3), n=40, mu=0.5, k=8, trials=300),
+     "ed3e045a8f76d8c781f7776251a9d1bf06e780322c231288013c117cd6cfdf92",
+     "feaef73fd645e108f52e16033491540b696b8a7b54017b634b0665640f8fe2c7"),
 ]
 
 
-@pytest.mark.parametrize("conf,csv_sha,json_sha", _SWEEP_HASHES, ids=["c10-mu", "d-sweep"])
+@pytest.mark.parametrize("conf,csv_sha,json_sha", _SWEEP_HASHES,
+                         ids=["c10-mu", "d-sweep", "n40-K-sweep", "n40-K8-d-sweep"])
 def test_sweep_bytes_match_recorded_hashes(tmp_path, conf, csv_sha, json_sha):
     run_sweep(ExperimentConfig(seed=20240819, out=str(tmp_path / "s"), **conf), workers=1)
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == csv_sha
