@@ -18,7 +18,6 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
-from functools import lru_cache
 from pathlib import Path
 
 import numpy as np
@@ -167,50 +166,37 @@ def key_batches(master_seed, point_index, lo, hi, n):
             yield keys[b:b + step]
 
 
-# What sharing the redraw rounds of a batch costs (_shares_rounds), in
-# redraw calls of a single trial: each round on the batch, and the set-up.
-_SHARED_ROUND_COST = 8
-_SHARED_SETUP_COST = 15
 # A trial's spare block holds the expected count of the picks it needs
 # after its first round plus this many standard deviations of that count.
 _SPARE_SIGMAS = 4
 
 
-def _redraw_calls(params, trials) -> float:
-    """Expected redraw calls (capped at 64 a column) of `trials` trials
-    drawn together under draw_trial's rules: a call per round of the
-    slowest row, each class holding trials * n * mu rows, and one call
-    for each later class's first rows.  A row needs r or more redraws
-    with probability f**r, f its chance of a repeat (of the whole row,
-    or per column of a column-filled class)."""
-    m, first = params.n - 1, params._first_rows
-    rounds = np.arange(1, 65)[:, None]
-    calls = params.r - 1 - first
-    for t in range(first, params.r):
-        k, rows = params.type_selections[t], trials * params.n * params.type_probs[t]
-        fail = np.arange(1, k) / m if params._fills_columns[t] else np.array([1 - params._row_accept[t]])
-        calls += float((1 - (1 - fail ** rounds) ** rows).sum())
-    return calls
+def _row_pick_moments(params) -> list[tuple[float, float]]:
+    """Per class, (mean, variance) of the raw picks one row takes until
+    it is distinct under draw_trial's rule, its first k picks included.
+
+    A whole-row class draws Geometric(p) rows of k picks, p its
+    GraphParams._row_accept.  A column-filled class draws its k picks
+    and then, at column j, a Geometric number of redraws that each
+    repeat one of the j earlier picks with probability q = j/(n-1):
+    mean q/(1-q), variance q/(1-q)**2."""
+    out = []
+    for k, p, columns in zip(params.type_selections, params._row_accept, params._fills_columns):
+        if columns:
+            q = np.arange(1, k) / (params.n - 1)
+            out.append((k + float((q / (1 - q)).sum()), float((q / (1 - q) ** 2).sum())))
+        else:
+            out.append((k / p, k * k * (1 - p) / (p * p)))
+    return out
 
 
-@lru_cache(maxsize=64)
-def _shares_rounds(params, trials) -> bool:
-    """Whether _batch_draw runs the redraw rounds of a batch of this many
-    trials on the whole batch: when the calls the trials would make one
-    at a time outweigh the rounds of the batch as a whole (_redraw_calls),
-    priced at _SHARED_ROUND_COST each plus _SHARED_SETUP_COST.  So a lone
-    trial (above 2048 nodes) and rows that are rarely redrawn (K = 2 at
-    n = 100, say) keep to draw_trial."""
-    return trials > 1 and (trials * _redraw_calls(params, 1)
-                           >= _SHARED_SETUP_COST + _SHARED_ROUND_COST * _redraw_calls(params, trials))
-
-
-def _spare_size(params, bad, counts) -> int:
+def _spare_size(params, moments, bad, counts) -> int:
     """The picks of a trial's spare block (_batch_draw): its redraws of the
     _first_draw class's bad rows (of every row when that class is
     column-filled) and every row of the classes after it, in expectation
-    plus _SPARE_SIGMAS standard deviations."""
-    f, moments = params._first_rows, params._row_pick_moments
+    plus _SPARE_SIGMAS standard deviations; moments are the
+    _row_pick_moments of params."""
+    f = params._first_rows
     mean, var = moments[f]
     if params._fills_columns[f]:
         mean, var = counts[f] * (mean - params.type_selections[f]), counts[f] * var
@@ -275,7 +261,7 @@ def _first_rounds(params, d, rng, keys):
     spares[b] trial b's spare block (None without one), states[b] its
     state before the block when d > 0, and dead[b] its deleted nodes
     when it has no block."""
-    n, f = params.n, params._first_rows
+    n, f, moments = params.n, params._first_rows, _row_pick_moments(params)
     small = np.min_scalar_type(-n)  # holds every raw pick, each in [0, n-1)
     xs, counts, heads, rows, spares, states = [], [], [], [], [], {}
     dead = np.empty((len(keys), d), dtype=np.int64)
@@ -290,7 +276,7 @@ def _first_rounds(params, d, rng, keys):
         if bad or any(c[f + 1:]):
             if d:
                 states[b] = rng.bit_generator.state
-            spare = rng.integers(0, n - 1, size=_spare_size(params, bad, c), dtype=np.int32)
+            spare = rng.integers(0, n - 1, size=_spare_size(params, moments, bad, c), dtype=np.int32)
             spares.append(spare.astype(small))
         else:
             spares.append(None)
@@ -321,14 +307,15 @@ def _batch_draw(params, d, rng, keys):
     again through draw_trial.  With d > 0 a trial without a block draws
     its deleted nodes right away; one with a block returns to its state
     from before the block, draws again the picks it used, then its
-    deleted nodes.
+    deleted nodes.  A lone trial, with no batch to share its rounds with,
+    is drawn through draw_trial.
     """
-    if not _shares_rounds(params, len(keys)):
+    if len(keys) == 1:
         return _trial_by_trial(params, d, rng, keys)
     n, ks, first = params.n, params.type_selections, params._first_rows
     types, blocks, counts, spares, states, dead = _first_rounds(params, d, rng, keys)
-    if all(block is None for block in spares):
-        return types, blocks, dead
+    if all(block is None for block in spares):  # no redraws and no later rows
+        return types, blocks + [np.empty(0, dtype=np.int64)] * (params.r - len(blocks)), dead
     counts = np.array(counts)
     spare = _Spares(spares)
     trials = np.arange(len(keys))

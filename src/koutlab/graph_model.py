@@ -99,31 +99,6 @@ class GraphParams:
         cum.flags.writeable = False
         return cum
 
-    @cached_property
-    def _row_pick_moments(self) -> tuple[tuple[float, float], ...]:
-        """Per class, (mean, variance) of the raw picks one row takes until
-        it is distinct under draw_trial's rule, its first k picks included.
-
-        A whole-row class draws Geometric(p) rows of k picks, p its
-        _row_accept.  A column-filled class draws its k picks and then, at
-        column j, a Geometric number of redraws that each repeat one of
-        the j earlier picks with probability q = j/(n-1): mean q/(1-q),
-        variance q/(1-q)**2."""
-        out = []
-        for k, p, columns in zip(self.type_selections, self._row_accept, self._fills_columns):
-            if columns:
-                q = np.arange(1, k) / (self.n - 1)
-                out.append((k + float((q / (1 - q)).sum()), float((q / (1 - q) ** 2).sum())))
-            else:
-                out.append((k / p, k * k * (1 - p) / (p * p)))
-        return tuple(out)
-
-    @cached_property
-    def _inner_edges(self) -> tuple[float, ...]:
-        """cum_probs but the last, as Python floats, which numpy compares
-        with an array faster than its own scalars."""
-        return tuple(self.cum_probs[:-1].tolist())
-
     @property
     def mean_selections(self) -> float:
         """Average number of selections a node makes, sum(mu_i * K_i)."""
@@ -288,7 +263,8 @@ def _first_draw(params: GraphParams, rng):
     """
     n, f = params.n, params._first_rows
     x = rng.random(n)
-    above = [n] + [np.count_nonzero(x >= e) for e in params._inner_edges] + [0]
+    # tolist: numpy compares an array with Python floats faster than with its own scalars
+    above = [n] + [np.count_nonzero(x >= e) for e in params.cum_probs[:-1].tolist()] + [0]
     counts = [above[t] - above[t + 1] for t in range(params.r)]
     lead = counts[0] if f else 0
     size = lead + counts[f] * params.type_selections[f]

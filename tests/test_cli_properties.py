@@ -11,8 +11,10 @@ at most 5 trials on one worker, so none builds a large graph, runs long or
 starts a process pool.  A valid but huge trial count, and `validate`
 with a level it does not know, run with the expensive call patched to
 raise, so a missing check fails the test instead of running it.  Worker
-counts up to 10^30 run against a stand-in pool that records the size it
-is asked for, on a machine patched to report four CPUs.
+counts up to 10^30 run 1200-trial sweeps at n=10 (five tasks, enough to
+ask for four workers) against a stand-in pool that records the size it
+is asked for and maps in process, on a machine patched to report four
+CPUs.
 """
 
 import io
@@ -20,6 +22,7 @@ import keyword
 import math
 import re
 from contextlib import contextmanager, redirect_stderr, redirect_stdout
+from functools import cache
 
 import numpy as np
 import pytest
@@ -359,6 +362,13 @@ CPUS = 4  # os.cpu_count() while a worker count is tested
 # workers asks for the whole (patched) machine
 POOL_SWEEP = ["sweep"] + flags(sweep_param="mu", sweep_values=0.5, n=10, k=2, trials=1200,
                                seed=1)
+POOL_PARAMS = experiments.two_type_params(10, 0.5, 2)
+
+
+@cache
+def _serial_cmax():
+    """collect_cmax's serial result for the pool cases, computed once."""
+    return experiments.collect_cmax(POOL_PARAMS, 0, 1200, seed=1, workers=1)
 
 
 @contextmanager
@@ -394,15 +404,13 @@ def test_non_integer_thread_counts_exit_two(value):
     assert sizes == []
 
 
-@PROPERTY
-@given(workers=huge_count)
-def test_sweep_has_no_workers_flag(workers):
+def test_sweep_has_no_workers_flag():
     # the worker count comes from KOUTLAB_THREADS alone: argparse refuses
     # the flag with its usage error, before any trial runs
     out, err = io.StringIO(), io.StringIO()
     with (sized_pool("64") as sizes, redirect_stdout(out), redirect_stderr(err),
           pytest.raises(SystemExit) as exit_):
-        cli.main(POOL_SWEEP + [f"--workers={workers}"])
+        cli.main(POOL_SWEEP + [f"--workers={10**30}"])
     assert exit_.value.code == 2 and out.getvalue() == ""
     assert "error: unrecognized arguments: --workers" in err.getvalue()
     assert "Traceback" not in err.getvalue() and sizes == []
@@ -412,8 +420,7 @@ def test_sweep_has_no_workers_flag(workers):
 @given(workers=huge_count)
 def test_huge_worker_arguments_start_a_bounded_pool(workers):
     # an explicit workers= argument wins over KOUTLAB_THREADS
-    params = experiments.two_type_params(10, 0.5, 2)
     with sized_pool("64") as sizes:
-        got = experiments.collect_cmax(params, 0, 1200, seed=1, workers=workers)
+        got = experiments.collect_cmax(POOL_PARAMS, 0, 1200, seed=1, workers=workers)
     assert sizes == ([min(workers, CPUS)] if workers >= 2 else [])
-    assert np.array_equal(got, experiments.collect_cmax(params, 0, 1200, seed=1, workers=1))
+    assert np.array_equal(got, _serial_cmax())

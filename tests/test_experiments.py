@@ -90,7 +90,7 @@ def test_key_batches_cover_the_range_in_order():
 
 # class 1 is redrawn in a third of its rows, and class 2 follows it in the stream
 _MIDDLE_REDRAWN = GraphParams(n=40, type_probs=(0.4, 0.3, 0.3), type_selections=(1, 6, 12))
-# draws whose full batches share their redraw rounds (_shares_rounds)
+# draws of many trials a batch, which share their redraw rounds
 _SHARED_CASES = [
     (two_type_params(30, 0.5, 2), 0, _BATCH_30 + 17),  # crosses a batch boundary
     (two_type_params(30, 0.5, 2), 3, 300),
@@ -160,7 +160,6 @@ def test_batch_sizes_fall_back_without_spares(monkeypatch, params, d, trials):
     # with empty spare blocks every trial that redraws, or has later
     # classes, runs out at once and is drawn again through draw_trial
     fallbacks = _count_fallbacks(monkeypatch)
-    monkeypatch.setattr(experiments, "_shares_rounds", lambda *args: True)
     monkeypatch.setattr(experiments, "_spare_size", lambda *args: 0)
     rows = _batched_rows(params, d, trials)
     assert fallbacks and set(fallbacks) == {1}
@@ -183,21 +182,25 @@ def _per_trial_draws(params, d, lo, hi):
     return np.stack(types), [np.concatenate(c) for c in zip(*blocks)], np.stack(dead)
 
 
-@pytest.mark.parametrize("shared", [True, False], ids=["shared", "cost-model"])
+# later classes so rare that about a quarter of the 136-trial batches
+# (5 of the 8 drawn here) have no redraw and no class-2 row, so no
+# trial draws a spare block
+_LATER_RARE = GraphParams(n=30, type_probs=(0.99, 0.009999, 1e-6), type_selections=(1, 2, 3))
+
+
 @pytest.mark.parametrize("params,d,trials", _SHARED_CASES + [
     (two_type_params(1000, 0.9, 2), 20, 9),  # four trials a batch
     (two_type_params(5000, 0.9, 2), 20, 2),  # one trial a batch
     (GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19)), 1, 60),
-], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2"])
-def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials, shared):
-    # every pick, type and deleted node equals the per-trial draw's, with
-    # the rounds on the whole batch or wherever the cost model puts them
+    (_LATER_RARE, 1, 8 * _BATCH_30),
+], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1"])
+def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
+    # every pick, type and deleted node equals the per-trial draw's
     fallbacks = _count_fallbacks(monkeypatch)
-    if shared:
-        monkeypatch.setattr(experiments, "_shares_rounds", lambda *args: True)
     rng = np.random.Generator(np.random.Philox(0))
-    lo = 0
+    lo = lone = 0
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
+        lone += len(keys) == 1
         types, blocks, dead = experiments._batch_draw(params, d, rng, keys)
         want_types, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
         assert np.array_equal(types, want_types)
@@ -205,20 +208,20 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials, shared):
         assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks))
         assert dead.shape == (len(keys), d) and np.array_equal(dead, want_dead)
         lo += len(keys)
-    if shared:  # the trials whose spare block ran out; 4 sigma leaves few
-        assert fallbacks == [1] * _RUNS_OUT.get((params, d), 0)
+    # lone trials, and the trials whose spare block ran out (4 sigma leaves
+    # few), are drawn through draw_trial one at a time
+    assert fallbacks == [1] * (lone + _RUNS_OUT.get((params, d), 0))
 
 
-@pytest.mark.parametrize("params,trials,shared", [
-    (two_type_params(30, 0.5, 2), 136, True),  # the C07 point: ~0.4 redraw calls a trial
-    (two_type_params(40, 0.5, 8), 102, True),
-    (two_type_params(40, 0.5, 12), 102, True),  # ~21 redraw calls a trial
-    (two_type_params(100, 0.5, 2), 40, False),
-    (two_type_params(1000, 0.9, 2), 4, False),
-    (two_type_params(5000, 0.5, 400), 1, False),  # many rounds, but nobody to share them with
-])
-def test_redraw_rounds_are_shared_where_they_pay(params, trials, shared):
-    assert experiments._shares_rounds(params, trials) is shared
+def test_lone_trials_keep_to_draw_trial(monkeypatch):
+    # a batch of one trial has no rounds to share and draws no spare block
+    monkeypatch.setattr(experiments, "_first_rounds", None)
+    params = two_type_params(40, 0.5, 12)
+    rng = np.random.Generator(np.random.Philox(0))
+    types, blocks, dead = experiments._batch_draw(params, 3, rng, trial_keys(31, 2, 7, 8))
+    want_types, want_blocks, want_dead = _per_trial_draws(params, 3, 7, 8)
+    assert np.array_equal(types, want_types) and np.array_equal(dead, want_dead)
+    assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks, strict=True))
 
 
 def test_collect_cmax_returns_on_rarely_distinct_rows():
