@@ -18,6 +18,8 @@ import time
 from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
+from functools import lru_cache
+from operator import mul
 from pathlib import Path
 
 import numpy as np
@@ -167,7 +169,8 @@ def key_batches(master_seed, point_index, lo, hi, n):
 
 
 # A trial's spare block holds the expected count of the picks it needs
-# after its first round plus this many standard deviations of that count.
+# after its first round plus this many standard deviations of that count
+# (and one row more, _spare_sizer).
 _SPARE_SIGMAS = 4
 
 
@@ -190,26 +193,31 @@ def _row_pick_moments(params) -> list[tuple[float, float]]:
     return out
 
 
-def _spare_size(params, moments, bad, counts) -> int:
-    """The picks of a trial's spare block (_batch_draw): its redraws of the
-    _first_draw class's bad rows (of every row when that class is
-    column-filled) and every row of the classes after it, in expectation
-    plus _SPARE_SIGMAS standard deviations; moments are the
-    _row_pick_moments of params."""
-    f = params._first_rows
-    mean, var = moments[f]
-    if params._fills_columns[f]:
-        mean, var = counts[f] * (mean - params.type_selections[f]), counts[f] * var
-    else:
-        mean, var = bad * mean, bad * var
-    for c, (m, v) in zip(counts[f + 1:], moments[f + 1:]):
-        mean, var = mean + c * m, var + c * v
-    return math.ceil(mean + _SPARE_SIGMAS * math.sqrt(var))
+@lru_cache(maxsize=16)
+def _spare_sizer(params):
+    """The size of a trial's spare block (_batch_draw) as a function of its
+    class counts (a tuple): the picks it takes after _first_draw's call,
+    that is the redraws of that call's rows, whether or not they repeat,
+    and every pick of the later classes (_row_pick_moments), in
+    expectation plus _SPARE_SIGMAS standard deviations, plus one row of
+    that call's class: the need comes in rows, and at small means the
+    deviations fall short of the next one.  Sizes are kept by counts,
+    which take few values."""
+    f, k = params._first_rows, params.type_selections[params._first_rows]
+    moments = [(0.0, 0.0)] * f + _row_pick_moments(params)[f:]
+    means, variances = (list(m) for m in zip(*moments))
+    means[f] -= k  # the first k picks of each row come with the rows
+
+    @lru_cache(maxsize=4096)
+    def size(counts):
+        return k + math.ceil(sum(map(mul, counts, means))
+                             + _SPARE_SIGMAS * math.sqrt(sum(map(mul, counts, variances))))
+    return size
 
 
 class _Spares:
-    """The batch's spare blocks in one array, and a cursor into each
-    (blocks[b] is trial b's, or None).
+    """The batch's spare blocks in one array of dtype, and a cursor into
+    each (blocks[b] is trial b's, or None).
 
     taker(owner) returns the take of _redraw_repeats and _distinct_columns
     for one class's rows, owner[i] being the trial of row i: each listed
@@ -218,9 +226,9 @@ class _Spares:
     rows are served no more.
     """
 
-    def __init__(self, blocks):
+    def __init__(self, blocks, dtype):
         size = np.array([0 if block is None else block.size for block in blocks])
-        self.flat = np.concatenate([block for block in blocks if block is not None])
+        self.flat = np.concatenate([block for block in blocks if block is not None], dtype=dtype)
         self.end = np.cumsum(size)
         self.start = self.end - size
         self.pos = self.start.copy()
@@ -258,31 +266,34 @@ def _trial_by_trial(params, d, rng, keys):
 def _first_rounds(params, d, rng, keys):
     """_batch_draw's loop over the trials.  Returns (types, blocks,
     counts, spares, states, dead): blocks holds the _first_draw picks,
-    spares[b] trial b's spare block (None without one), states[b] its
-    state before the block when d > 0, and dead[b] its deleted nodes
-    when it has no block."""
-    n, f, moments = params.n, params._first_rows, _row_pick_moments(params)
-    small = np.min_scalar_type(-n)  # holds every raw pick, each in [0, n-1)
+    counts the (B, r) class sizes, spares[b] trial b's spare block (None
+    when it needs none; with d == 0, when no trial of the batch does),
+    states[b] its state before the block when d > 0, and dead[b] its
+    deleted nodes when it has no block."""
+    n, f = params.n, params._first_rows
+    k, size = params.type_selections[f], _spare_sizer(params)
     xs, counts, heads, rows, spares, states = [], [], [], [], [], {}
     dead = np.empty((len(keys), d), dtype=np.int64)
     for b, key in enumerate(keys):
         _rekey(rng, key)
-        x, c, head, picks = _first_draw(params, rng)
+        # with d == 0 nothing follows a trial's picks, so its spare joins its first call
+        x, c, head, picks, spare = _first_draw(params, rng, None if d else size)
         xs.append(x)
         counts.append(c)
         heads.append(head)
         rows.append(picks)
-        bad = _rows_with_repeats(picks.reshape(-1, params.type_selections[f])).size
-        if bad or any(c[f + 1:]):
-            if d:
+        if d:
+            if any(c[f + 1:]) or _rows_with_repeats(picks.reshape(-1, k)).size:
                 states[b] = rng.bit_generator.state
-            spare = rng.integers(0, n - 1, size=_spare_size(params, moments, bad, c), dtype=np.int32)
-            spares.append(spare.astype(small))
-        else:
-            spares.append(None)
-            if d:
+                spare = rng.integers(0, n - 1, size=size(c), dtype=np.int32)
+            else:
+                spare = None
                 dead[b] = draw_deleted(n, d, rng)
+        spares.append(spare)
     blocks = [np.concatenate(heads)] * f + [np.concatenate(rows)]
+    counts = np.array(counts)
+    if not d and not (counts[:, f + 1:].any() or _rows_with_repeats(blocks[f].reshape(-1, k)).size):
+        spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
     return types_from_uniforms(params, np.stack(xs)), blocks, counts, spares, states, dead
 
 
@@ -295,20 +306,26 @@ def _batch_draw(params, d, rng, keys):
     (B, d) deleted nodes.  One generator serves every trial.  Per trial
     it is rekeyed and makes draw_trial's first calls (_first_draw, in
     _first_rounds): the type uniforms and the integers call of the first
-    class with k >= 2 (with the single picks ahead of it).  A trial with
-    a repeated row there, or with rows in a later class, then draws one
-    spare block of raw picks (_spare_size) as int32, which consumes the
-    stream as the int64 calls of draw_trial do.  Calls with one bound
-    consume the stream in turn, so the picks draw_trial would draw next
-    are that block's, in order.  The redraw rounds (_redraw_repeats,
-    _distinct_columns) and the later classes' first rows are then
-    carved from the blocks for all trials at once, class by class, one
-    cursor per trial (_Spares).  A trial whose block runs out is drawn
-    again through draw_trial.  With d > 0 a trial without a block draws
-    its deleted nodes right away; one with a block returns to its state
-    from before the block, draws again the picks it used, then its
-    deleted nodes.  A lone trial, with no batch to share its rounds with,
-    is drawn through draw_trial.
+    class with k >= 2 (with the single picks ahead of it).  Calls with
+    one bound consume the stream in turn, whatever their size and int
+    dtype, so the picks draw_trial would draw after that call are the
+    next ones of the stream.  A trial's spare block holds them: its
+    expected need plus _SPARE_SIGMAS standard deviations, sized from its
+    class counts alone (_spare_sizer).  With d == 0 the first call draws
+    the block too, so a trial makes one integers call; one repeat test
+    on the batch's first rows then drops every block when no trial has
+    a repeated row or later-class rows.  With d > 0 a trial with
+    a repeated row, or with later-class rows, draws its block in a call
+    of its own, since its deleted nodes must be drawn from the stream
+    right after the picks it used.  The redraw rounds
+    (_redraw_repeats, _distinct_columns) and the later classes' first
+    rows are then carved from the blocks for all trials at once, class
+    by class, one cursor per trial (_Spares).  A trial whose block runs
+    out is drawn again through draw_trial.  With d > 0 a trial without a
+    block draws its deleted nodes right away; one with a block returns
+    to its state from before the block, draws again the picks it used,
+    then its deleted nodes.  A lone trial, with no batch to share its
+    rounds with, is drawn through draw_trial.
     """
     if len(keys) == 1:
         return _trial_by_trial(params, d, rng, keys)
@@ -316,8 +333,7 @@ def _batch_draw(params, d, rng, keys):
     types, blocks, counts, spares, states, dead = _first_rounds(params, d, rng, keys)
     if all(block is None for block in spares):  # no redraws and no later rows
         return types, blocks + [np.empty(0, dtype=np.int64)] * (params.r - len(blocks)), dead
-    counts = np.array(counts)
-    spare = _Spares(spares)
+    spare = _Spares(spares, np.min_scalar_type(-n))  # holds every raw pick, each in [0, n-1)
     trials = np.arange(len(keys))
     for t in range(first, params.r):
         owner = np.repeat(trials, counts[:, t])

@@ -207,11 +207,27 @@ def types_from_uniforms(params: GraphParams, x) -> np.ndarray:
 
 
 def _rows_with_repeats(sel) -> np.ndarray:
-    # indices of the rows of sel that hold some value twice
-    if sel.shape[1] == 2:
+    """Indices of the rows of sel, non-negative integers, that hold some
+    value twice.
+
+    Each row ORs together the bits p mod 64 of its values; a row of k
+    values whose mask has k bits set is distinct.  When every value is
+    below 64 (raw picks at n <= 65) the test is exact; a flagged row with
+    a larger value may only share a bit, and is confirmed by sorting it.
+    A row of two values is compared directly.
+    """
+    k = sel.shape[1]
+    if k == 2:
         return (sel[:, 0] == sel[:, 1]).nonzero()[0]
-    s = np.sort(sel, axis=1)
-    return (s[:, 1:] == s[:, :-1]).any(axis=1).nonzero()[0]
+    bits = sel.T.astype(np.uint64, order="C")  # one contiguous row per column
+    bits &= 63
+    np.left_shift(1, bits, out=bits)
+    maybe = (np.bitwise_count(np.bitwise_or.reduce(bits, axis=0)) < k).nonzero()[0]
+    flagged = sel[maybe]
+    if maybe.size == 0 or flagged.max() < 64:
+        return maybe
+    s = np.sort(flagged.astype(np.int64), axis=1)  # numpy sorts int64 rows faster than int8
+    return maybe[(s[:, 1:] == s[:, :-1]).any(axis=1)]
 
 
 def _fresh_picks(rng, n):
@@ -251,25 +267,30 @@ def _distinct_columns(take, rows):
             bad = bad[(rows[bad, :j] == rows[bad, j:j + 1]).any(axis=1)]
 
 
-def _first_draw(params: GraphParams, rng):
+def _first_draw(params: GraphParams, rng, spare=None):
     """draw_trial's first calls: the type uniforms and the first integers call.
 
-    Returns (x, counts, head, rows).  x = rng.random(n) are the type
-    uniforms and counts the class sizes they give (the counts of
-    types_from_uniforms(params, x)).  The call draws the rows of class
+    Returns (x, counts, head, rows, tail).  x = rng.random(n) are the type
+    uniforms and counts the class sizes they give, a tuple (the counts
+    of types_from_uniforms(params, x)).  The call draws the rows of class
     f, the first class with k >= 2 picks, in one flat array; f is
     params._first_rows, 1 when class 0 makes single picks, and then
-    class 0's picks (head) come first in the same call.
+    class 0's picks (head) come first in the same call.  spare(counts),
+    when given, is a number of further raw picks that the same call
+    draws after the rows (tail; empty without spare).
     """
     n, f = params.n, params._first_rows
     x = rng.random(n)
-    # tolist: numpy compares an array with Python floats faster than with its own scalars
-    above = [n] + [np.count_nonzero(x >= e) for e in params.cum_probs[:-1].tolist()] + [0]
-    counts = [above[t] - above[t + 1] for t in range(params.r)]
+    # Python numbers throughout: numpy's own scalars compare and add slower
+    above = [n] + [int(np.count_nonzero(x >= e)) for e in params.cum_probs[:-1].tolist()] + [0]
+    counts = tuple([above[t] - above[t + 1] for t in range(params.r)])
     lead = counts[0] if f else 0
     size = lead + counts[f] * params.type_selections[f]
-    picks = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
-    return x, counts, picks[:lead], picks[lead:]
+    more = spare(counts) if spare else 0
+    # int32 consumes the stream as int64 does, in half the memory of a batch's spares
+    picks = (rng.integers(0, n - 1, size=size + more, dtype=np.int32) if size + more
+             else np.empty(0, dtype=np.int32))
+    return x, counts, picks[:lead], picks[lead:size], picks[size:]
 
 
 def draw_trial(params: GraphParams, rng):
@@ -289,14 +310,16 @@ def draw_trial(params: GraphParams, rng):
     (_distinct_columns).
 
     The same fact lets the sweep engine (experiments._batch_draw), where
-    trials redraw often, make _first_draw's calls as they are, draw every
-    later pick in one larger call, and run the redraw rounds of a whole
-    batch at once: its picks equal these.  This function stays the
-    per-graph path (construct_r_type, the coupling, the engine's other
-    batches and its fallback) and the engine's reference.
+    trials redraw often, draw every later pick in one larger call (with
+    d == 0 the first integers call itself, through _first_draw's spare)
+    and run the redraw rounds of a whole batch at once: its picks equal
+    these.  Both test rows for repeats with _rows_with_repeats.  This
+    function stays the per-graph path (construct_r_type, the coupling,
+    the engine's lone trials and its fallback) and the engine's
+    reference.
     """
     n, ks, f = params.n, params.type_selections, params._first_rows
-    x, counts, head, raw = _first_draw(params, rng)
+    x, counts, head, raw, _ = _first_draw(params, rng)
     take = _fresh_picks(rng, n)
     blocks = [head] if f else []
     for t in range(f, params.r):

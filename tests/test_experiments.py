@@ -160,14 +160,14 @@ def test_batch_sizes_fall_back_without_spares(monkeypatch, params, d, trials):
     # with empty spare blocks every trial that redraws, or has later
     # classes, runs out at once and is drawn again through draw_trial
     fallbacks = _count_fallbacks(monkeypatch)
-    monkeypatch.setattr(experiments, "_spare_size", lambda *args: 0)
+    monkeypatch.setattr(experiments, "_spare_sizer", lambda params: lambda counts: 0)
     rows = _batched_rows(params, d, trials)
     assert fallbacks and set(fallbacks) == {1}
     _assert_rows_match_per_graph_reference(params, d, rows)
 
 
 # the trials of _SHARED_CASES that exhaust their spare blocks
-_RUNS_OUT = {(two_type_params(40, 0.5, 8), 3): 1, (two_type_params(6, 0.8, 5), 2): 5}
+_RUNS_OUT = {(two_type_params(6, 0.8, 5), 2): 5}
 
 
 def _per_trial_draws(params, d, lo, hi):
@@ -184,8 +184,10 @@ def _per_trial_draws(params, d, lo, hi):
 
 # later classes so rare that about a quarter of the 136-trial batches
 # (5 of the 8 drawn here) have no redraw and no class-2 row, so no
-# trial draws a spare block
+# trial keeps a spare block and the batch runs no rounds
 _LATER_RARE = GraphParams(n=30, type_probs=(0.99, 0.009999, 1e-6), type_selections=(1, 2, 3))
+# the batches that run redraw rounds, where not every batch does
+_ROUNDS_RUN = {(_LATER_RARE, 0): 3, (_LATER_RARE, 1): 3}
 
 
 @pytest.mark.parametrize("params,d,trials", _SHARED_CASES + [
@@ -193,10 +195,14 @@ _LATER_RARE = GraphParams(n=30, type_probs=(0.99, 0.009999, 1e-6), type_selectio
     (two_type_params(5000, 0.9, 2), 20, 2),  # one trial a batch
     (GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19)), 1, 60),
     (_LATER_RARE, 1, 8 * _BATCH_30),
-], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1"])
+    (_LATER_RARE, 0, 8 * _BATCH_30),
+], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1", "later-rare"])
 def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
     # every pick, type and deleted node equals the per-trial draw's
     fallbacks = _count_fallbacks(monkeypatch)
+    rounds = []
+    spares = experiments._Spares
+    monkeypatch.setattr(experiments, "_Spares", lambda *args: rounds.append(1) or spares(*args))
     rng = np.random.Generator(np.random.Philox(0))
     lo = lone = 0
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
@@ -211,6 +217,8 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
     # lone trials, and the trials whose spare block ran out (4 sigma leaves
     # few), are drawn through draw_trial one at a time
     assert fallbacks == [1] * (lone + _RUNS_OUT.get((params, d), 0))
+    if (params, d) in _ROUNDS_RUN:
+        assert len(rounds) == _ROUNDS_RUN[params, d]
 
 
 def test_lone_trials_keep_to_draw_trial(monkeypatch):
