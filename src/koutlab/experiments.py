@@ -265,11 +265,13 @@ def _trial_by_trial(params, d, rng, keys):
 
 def _first_rounds(params, d, rng, keys):
     """_batch_draw's loop over the trials.  Returns (types, blocks,
-    counts, spares, states, dead): blocks holds the _first_draw picks,
-    counts the (B, r) class sizes, spares[b] trial b's spare block (None
-    when it needs none; with d == 0, when no trial of the batch does),
-    states[b] its state before the block when d > 0, and dead[b] its
-    deleted nodes when it has no block."""
+    counts, spares, states, dead, bad): blocks holds the _first_draw
+    picks, counts the (B, r) class sizes, spares[b] trial b's spare block
+    (None when it needs none; with d == 0, when no trial of the batch
+    does), states[b] its state before the block when d > 0, dead[b] its
+    deleted nodes when it has no block, and bad, with d == 0, the
+    repeating rows of blocks[-1], the first class with k >= 2 (None
+    when d > 0)."""
     n, f = params.n, params._first_rows
     k, size = params.type_selections[f], _spare_sizer(params)
     xs, counts, heads, rows, spares, states = [], [], [], [], [], {}
@@ -283,7 +285,7 @@ def _first_rounds(params, d, rng, keys):
         heads.append(head)
         rows.append(picks)
         if d:
-            if any(c[f + 1:]) or _rows_with_repeats(picks.reshape(-1, k)).size:
+            if any(c[f + 1:]) or _rows_with_repeats(picks.reshape(-1, k), n).size:
                 states[b] = rng.bit_generator.state
                 spare = rng.integers(0, n - 1, size=size(c), dtype=np.int32)
             else:
@@ -291,10 +293,12 @@ def _first_rounds(params, d, rng, keys):
                 dead[b] = draw_deleted(n, d, rng)
         spares.append(spare)
     blocks = [np.concatenate(heads)] * f + [np.concatenate(rows)]
-    counts = np.array(counts)
-    if not d and not (counts[:, f + 1:].any() or _rows_with_repeats(blocks[f].reshape(-1, k)).size):
-        spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
-    return types_from_uniforms(params, np.stack(xs)), blocks, counts, spares, states, dead
+    counts, bad = np.array(counts), None
+    if not d:
+        bad = _rows_with_repeats(blocks[f].reshape(-1, k), n)
+        if not (bad.size or counts[:, f + 1:].any()):
+            spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
+    return types_from_uniforms(params, np.stack(xs)), blocks, counts, spares, states, dead, bad
 
 
 def _batch_draw(params, d, rng, keys):
@@ -314,7 +318,8 @@ def _batch_draw(params, d, rng, keys):
     class counts alone (_spare_sizer).  With d == 0 the first call draws
     the block too, so a trial makes one integers call; one repeat test
     on the batch's first rows then drops every block when no trial has
-    a repeated row or later-class rows.  With d > 0 a trial with
+    a repeated row or later-class rows; otherwise its bad rows start
+    the first class's rounds.  With d > 0 a trial with
     a repeated row, or with later-class rows, draws its block in a call
     of its own, since its deleted nodes must be drawn from the stream
     right after the picks it used.  The redraw rounds
@@ -330,7 +335,7 @@ def _batch_draw(params, d, rng, keys):
     if len(keys) == 1:
         return _trial_by_trial(params, d, rng, keys)
     n, ks, first = params.n, params.type_selections, params._first_rows
-    types, blocks, counts, spares, states, dead = _first_rounds(params, d, rng, keys)
+    types, blocks, counts, spares, states, dead, bad = _first_rounds(params, d, rng, keys)
     if all(block is None for block in spares):  # no redraws and no later rows
         return types, blocks + [np.empty(0, dtype=np.int64)] * (params.r - len(blocks)), dead
     spare = _Spares(spares, np.min_scalar_type(-n))  # holds every raw pick, each in [0, n-1)
@@ -344,8 +349,10 @@ def _batch_draw(params, d, rng, keys):
             served, picks = spare.taker(owner)(np.arange(owner.size), ks[t])
             block[served] = picks
             blocks.append(block.ravel())
-        redraw = _distinct_columns if params._fills_columns[t] else _redraw_repeats
-        redraw(spare.taker(owner), block)
+        if params._fills_columns[t]:
+            _distinct_columns(spare.taker(owner), block)
+        else:  # with d == 0, _first_rounds has found the first class's bad rows
+            _redraw_repeats(spare.taker(owner), block, n, bad if t == first else None)
     for b in np.flatnonzero(spare.failed):
         _, exact, dead[b:b + 1] = _trial_by_trial(params, d, rng, keys[b:b + 1])
         for t in range(first, params.r):

@@ -206,28 +206,24 @@ def types_from_uniforms(params: GraphParams, x) -> np.ndarray:
     return types
 
 
-def _rows_with_repeats(sel) -> np.ndarray:
-    """Indices of the rows of sel, non-negative integers, that hold some
+def _rows_with_repeats(sel, n) -> np.ndarray:
+    """Indices of the rows of sel, raw picks in [0, n-1), that hold some
     value twice.
 
-    Each row ORs together the bits p mod 64 of its values; a row of k
-    values whose mask has k bits set is distinct.  When every value is
-    below 64 (raw picks at n <= 65) the test is exact; a flagged row with
-    a larger value may only share a bit, and is confirmed by sorting it.
-    A row of two values is compared directly.
+    A row of two picks is compared directly.  At n <= 65 every pick is
+    below 64, so each row ORs together its bits 1 << p, and a row of k
+    picks whose mask has k bits set is distinct.  Above that, where
+    picks could share a bit without being equal, each row is sorted.
     """
     k = sel.shape[1]
     if k == 2:
         return (sel[:, 0] == sel[:, 1]).nonzero()[0]
+    if n > 65:
+        s = np.sort(sel, axis=1)
+        return (s[:, 1:] == s[:, :-1]).any(axis=1).nonzero()[0]
     bits = sel.T.astype(np.uint64, order="C")  # one contiguous row per column
-    bits &= 63
     np.left_shift(1, bits, out=bits)
-    maybe = (np.bitwise_count(np.bitwise_or.reduce(bits, axis=0)) < k).nonzero()[0]
-    flagged = sel[maybe]
-    if maybe.size == 0 or flagged.max() < 64:
-        return maybe
-    s = np.sort(flagged.astype(np.int64), axis=1)  # numpy sorts int64 rows faster than int8
-    return maybe[(s[:, 1:] == s[:, :-1]).any(axis=1)]
+    return (np.bitwise_count(np.bitwise_or.reduce(bits, axis=0)) < k).nonzero()[0]
 
 
 def _fresh_picks(rng, n):
@@ -236,8 +232,9 @@ def _fresh_picks(rng, n):
     return lambda rows, width: (rows, rng.integers(0, n - 1, size=(rows.size, width)))
 
 
-def _redraw_repeats(take, rows):
-    """Redraw, in place, every row of raw picks that holds a value twice.
+def _redraw_repeats(take, rows, n, bad=None):
+    """Redraw, in place, every row of raw picks in [0, n-1) that holds a
+    value twice (bad, when given, lists those rows already).
 
     take(bad, width) hands the listed rows width new picks each, in row
     order, and returns (the rows it served, their picks); a row it does
@@ -246,11 +243,12 @@ def _redraw_repeats(take, rows):
     the k-subsets.  Rows are checked before the self-avoiding shift,
     which is monotone within a row and so keeps repeats as they are.
     """
-    bad = _rows_with_repeats(rows)
+    if bad is None:
+        bad = _rows_with_repeats(rows, n)
     while bad.size:
         bad, redo = take(bad, rows.shape[1])
         rows[bad] = redo
-        bad = bad[_rows_with_repeats(redo)]
+        bad = bad[_rows_with_repeats(redo, n)]
 
 
 def _distinct_columns(take, rows):
@@ -277,7 +275,9 @@ def _first_draw(params: GraphParams, rng, spare=None):
     params._first_rows, 1 when class 0 makes single picks, and then
     class 0's picks (head) come first in the same call.  spare(counts),
     when given, is a number of further raw picks that the same call
-    draws after the rows (tail; empty without spare).
+    draws after the rows (tail; empty without spare).  With a spare the
+    call draws int32, which consumes the stream as int64 does, in half
+    the memory of a batch's spares; without one it draws int64.
     """
     n, f = params.n, params._first_rows
     x = rng.random(n)
@@ -286,10 +286,9 @@ def _first_draw(params: GraphParams, rng, spare=None):
     counts = tuple([above[t] - above[t + 1] for t in range(params.r)])
     lead = counts[0] if f else 0
     size = lead + counts[f] * params.type_selections[f]
-    more = spare(counts) if spare else 0
-    # int32 consumes the stream as int64 does, in half the memory of a batch's spares
-    picks = (rng.integers(0, n - 1, size=size + more, dtype=np.int32) if size + more
-             else np.empty(0, dtype=np.int32))
+    more, dtype = (spare(counts), np.int32) if spare else (0, np.int64)
+    picks = (rng.integers(0, n - 1, size=size + more, dtype=dtype) if size + more
+             else np.empty(0, dtype=dtype))
     return x, counts, picks[:lead], picks[lead:size], picks[size:]
 
 
@@ -326,8 +325,10 @@ def draw_trial(params: GraphParams, rng):
         if t > f:
             size = counts[t] * ks[t]
             raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
-        redraw = _distinct_columns if params._fills_columns[t] else _redraw_repeats
-        redraw(take, raw.reshape(-1, ks[t]))
+        if params._fills_columns[t]:
+            _distinct_columns(take, raw.reshape(-1, ks[t]))
+        else:
+            _redraw_repeats(take, raw.reshape(-1, ks[t]), n)
         blocks.append(raw)
     return x, blocks
 

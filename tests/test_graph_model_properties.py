@@ -1,13 +1,12 @@
 """Property tests: the sampler's repeat test against a sort-based reference.
 
 graph_model._rows_with_repeats finds the rows of raw picks that hold a
-value twice, from a bitmask of each row's values mod 64, and confirms
-by sorting only a flagged row with a value of 64 or more.  Cases draw
-rows of width 2-20 at n in {3, 40, 65, 66, 130, 5000} (every raw pick
-below 64 up to n = 65), as int8 where the picks fit, as the smallest
-type that holds them, and as int64.  Some picks are tied to an earlier
-pick of their row: the same value, or one 64 apart, which shares its
-bit while differing.
+value twice: from a bitmask of each row's picks at n <= 65, where every
+raw pick is below 64, and by sorting the rows above that.  Cases draw
+rows of width 2-20 at n in {3, 40, 65, 66, 130, 5000}, as int8 where
+the picks fit, as the smallest type that holds them, and as int64.
+Some picks are tied to an earlier pick of their row: the same value, or
+one 64 apart, which would share its bit while differing.
 """
 
 import numpy as np
@@ -38,11 +37,12 @@ def pick_rows(draw):
             if tie is not None and 0 <= row[i] + tie <= n - 2:
                 row[j] = row[i] + tie
     dtypes = [np.int64, np.min_scalar_type(-n)] + ([np.int8] if n - 2 <= 127 else [])
-    return np.array(rows, dtype=draw(st.sampled_from(dtypes))).reshape(len(rows), width)
+    return np.array(rows, dtype=draw(st.sampled_from(dtypes))).reshape(len(rows), width), n
 
 
 @PROPERTY
 @given(pick_rows())
-def test_rows_with_repeats_matches_sorting(sel):
-    assert np.array_equal(_rows_with_repeats(sel), _reference(sel))
-    assert _rows_with_repeats(sel[:0]).size == 0
+def test_rows_with_repeats_matches_sorting(case):
+    sel, n = case
+    assert np.array_equal(_rows_with_repeats(sel, n), _reference(sel))
+    assert _rows_with_repeats(sel[:0], n).size == 0
