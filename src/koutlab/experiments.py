@@ -27,8 +27,8 @@ import numpy as np
 from .component_analysis import component_labels
 from .errors import ParameterError
 from .graph_model import (GraphParams, _distinct_columns, _first_draw, _redraw_repeats,
-                          _rows_with_repeats, construct_r_type, couple_extend, draw_deleted,
-                          draw_trial, two_type_params, types_from_uniforms, union_arcs)
+                          _rows_with_repeats, class_nodes, construct_r_type, couple_extend,
+                          draw_deleted, draw_trial, two_type_params, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
 from .oracle import _MAX_CLOSED_FORM_N, union_bound_sum
@@ -249,23 +249,20 @@ class _Spares:
 
 
 def _trial_by_trial(params, d, rng, keys):
-    """_batch_draw's result drawn one trial at a time: rekey, draw_trial,
-    and with d > 0 draw_deleted."""
-    xs, blocks = [], []
-    dead = np.empty((len(keys), d), dtype=np.int64)
-    for b, key in enumerate(keys):
-        _rekey(rng, key)
-        x, picks = draw_trial(params, rng)
-        xs.append(x)
-        blocks.append(picks)
-        if d:
-            dead[b] = draw_deleted(params.n, d, rng)
-    return types_from_uniforms(params, np.stack(xs)), [np.concatenate(c) for c in zip(*blocks)], dead
+    """_batch_draw's result for a batch of one trial (keys holds one
+    key): rekey, draw_trial, and with d > 0 draw_deleted.  Its blocks are
+    draw_trial's own and its class counts None, union_arcs' one draw."""
+    (key,) = keys
+    _rekey(rng, key)
+    x, blocks = draw_trial(params, rng)
+    dead = draw_deleted(params.n, d, rng)[None] if d else np.empty((1, 0), dtype=np.int64)
+    return class_nodes(params, x), blocks, None, dead
 
 
 def _first_rounds(params, d, rng, keys):
-    """_batch_draw's loop over the trials.  Returns (types, blocks,
-    counts, spares, states, dead, bad): blocks holds the _first_draw
+    """_batch_draw's loop over the trials.  Returns (nodes, blocks,
+    counts, spares, states, dead, bad): nodes lists each class's nodes
+    (class_nodes, on the batch's uniforms), blocks holds the _first_draw
     picks, counts the (B, r) class sizes, spares[b] trial b's spare block
     (None when it needs none; with d == 0, when no trial of the batch
     does), states[b] its state before the block when d > 0, dead[b] its
@@ -298,16 +295,19 @@ def _first_rounds(params, d, rng, keys):
         bad = _rows_with_repeats(blocks[f].reshape(-1, k), n)
         if not (bad.size or counts[:, f + 1:].any()):
             spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
-    return types_from_uniforms(params, np.stack(xs)), blocks, counts, spares, states, dead, bad
+    return class_nodes(params, np.concatenate(xs)), blocks, counts, spares, states, dead, bad
 
 
 def _batch_draw(params, d, rng, keys):
     """draw_trial and draw_deleted for the trials with these keys, drawn
     as they draw them, with the redraw rounds run on the whole batch.
 
-    Returns (types, blocks, dead): the (B, n) node types, each class's
-    picks concatenated in trial order (union_arcs' blocks), and the
-    (B, d) deleted nodes.  One generator serves every trial.  Per trial
+    Returns (nodes, blocks, counts, dead), union_arcs' input and the
+    (B, d) deleted nodes: each class's nodes as flat ids b*n + i, trial
+    by trial, worked out once for the batch from its type uniforms
+    (class_nodes), each class's picks concatenated in trial order, and
+    the (B, r) class counts (None for a lone trial).  One generator
+    serves every trial.  Per trial
     it is rekeyed and makes draw_trial's first calls (_first_draw, in
     _first_rounds): the type uniforms and the integers call of the first
     class with k >= 2 (with the single picks ahead of it).  Calls with
@@ -335,9 +335,10 @@ def _batch_draw(params, d, rng, keys):
     if len(keys) == 1:
         return _trial_by_trial(params, d, rng, keys)
     n, ks, first = params.n, params.type_selections, params._first_rows
-    types, blocks, counts, spares, states, dead, bad = _first_rounds(params, d, rng, keys)
+    nodes, blocks, counts, spares, states, dead, bad = _first_rounds(params, d, rng, keys)
     if all(block is None for block in spares):  # no redraws and no later rows
-        return types, blocks + [np.empty(0, dtype=np.int64)] * (params.r - len(blocks)), dead
+        blocks += [np.empty(0, dtype=np.int64)] * (params.r - len(blocks))
+        return nodes, blocks, counts, dead
     spare = _Spares(spares, np.min_scalar_type(-n))  # holds every raw pick, each in [0, n-1)
     trials = np.arange(len(keys))
     for t in range(first, params.r):
@@ -354,7 +355,7 @@ def _batch_draw(params, d, rng, keys):
         else:  # with d == 0, _first_rounds has found the first class's bad rows
             _redraw_repeats(spare.taker(owner), block, n, bad if t == first else None)
     for b in np.flatnonzero(spare.failed):
-        _, exact, dead[b:b + 1] = _trial_by_trial(params, d, rng, keys[b:b + 1])
+        _, exact, _, dead[b:b + 1] = _trial_by_trial(params, d, rng, keys[b:b + 1])
         for t in range(first, params.r):
             at = counts[:b, t].sum() * ks[t]
             blocks[t][at:at + exact[t].size] = exact[t]
@@ -363,21 +364,22 @@ def _batch_draw(params, d, rng, keys):
             rng.bit_generator.state = state
             rng.integers(0, n - 1, size=spare.pos[b] - spare.start[b], dtype=np.int32)
             dead[b] = draw_deleted(n, d, rng)
-    return types, blocks, dead
+    return nodes, blocks, counts, dead
 
 
 def _batch_sizes(params, d, rng, keys) -> np.ndarray:
     """Component sizes of the trials with these keys, labeled as one disjoint union.
 
-    The trials are drawn by _batch_draw; everything after the draw runs
-    on the whole batch, and trial b's nodes are offset by b*n.  Row b,
+    The trials are drawn by _batch_draw, whose class node lists and
+    counts let union_arcs place trial b's nodes at b*n without a
+    division; everything after the draw runs on the whole batch.  Row b,
     entry i of the (B, n) result is the size of trial b's component
     whose smallest node is i, and 0 where i is not the smallest; a
     deleted node is left a singleton, size 1.
     """
     n = params.n
-    types, blocks, dead = _batch_draw(params, d, rng, keys)
-    u, v = union_arcs(params, types, blocks)
+    *draw, dead = _batch_draw(params, d, rng, keys)
+    u, v = union_arcs(params, *draw)
     nodes = len(keys) * n
     if d:
         alive = np.ones(nodes, dtype=bool)

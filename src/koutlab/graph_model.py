@@ -123,7 +123,8 @@ class KoutGraph:
     """A realized graph, kept as its draw.
 
     node_types and blocks are draw_trial's: blocks[t] holds the raw picks
-    of the class-t nodes, nodes in order, row by row (see union_arcs).
+    of the class-t nodes, nodes in order, row by row.  arcs lists the
+    class-t nodes from node_types and decodes the picks with union_arcs.
     deleted holds the nodes a deletion removed (delete_random_nodes);
     original node ids are kept and nothing is re-indexed.  Instances are
     immutable; arcs, edges and components are derived on first use and
@@ -155,7 +156,8 @@ class KoutGraph:
     @cached_property
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pick as an arc (node, picked node), class by class (union_arcs)."""
-        return union_arcs(self.params, self.node_types, self.blocks)
+        nodes = [np.flatnonzero(self.node_types == t) for t in range(self.params.r)]
+        return union_arcs(self.params, nodes, self.blocks)
 
     @cached_property
     def sel_flat(self) -> np.ndarray:
@@ -204,6 +206,21 @@ def types_from_uniforms(params: GraphParams, x) -> np.ndarray:
     for edge in params.cum_probs[:-1]:
         types += x >= edge
     return types
+
+
+def class_nodes(params: GraphParams, x) -> list[np.ndarray]:
+    """The nodes of each class, from the type draw's uniforms x (any shape).
+
+    Entry t lists, in order, the flat indices of x whose type
+    (types_from_uniforms) is t: with x the (B, n) uniforms of B draws,
+    node i of draw b is b*n + i.  A uniform at or above an inner edge is
+    above every earlier one, so class t is the uniforms at or above edge
+    t-1 and not at or above edge t.
+    """
+    x = np.ravel(x)
+    above = [x >= edge for edge in params.cum_probs[:-1].tolist()]
+    inner = [(lo ^ hi).nonzero()[0] for lo, hi in zip(above, above[1:])]
+    return [(~above[0]).nonzero()[0], *inner, above[-1].nonzero()[0]]
 
 
 def _rows_with_repeats(sel, n) -> np.ndarray:
@@ -343,27 +360,27 @@ def draw_deleted(n, d, rng) -> np.ndarray:
     return rng.choice(n, size=d, replace=False)
 
 
-def union_arcs(params: GraphParams, types, blocks) -> tuple[np.ndarray, np.ndarray]:
+def union_arcs(params: GraphParams, nodes, blocks, counts=None) -> tuple[np.ndarray, np.ndarray]:
     """The arcs (src, picked node) of B draws, as one graph on B*n nodes.
 
-    types is the (B, n) stack of the draws' node types (types_from_uniforms)
-    and blocks[t] the concatenation, in draw order, of their class-t blocks
-    (draw_trial); node i of draw b is node b*n + i.  This is the one place
-    that applies the self-avoiding shift.  Arcs come class by class and are
-    not deduplicated: repeated and mutual picks do not change the
-    components.
+    nodes[t] lists the class-t nodes of the draws (class_nodes), node i
+    of draw b being node b*n + i, draw by draw, and blocks[t] the
+    concatenation, in draw order, of their class-t blocks (draw_trial).
+    counts, the (B, r) class sizes of the draws, places each draw's picks
+    at its offset b*n; it is None for one draw, which needs no offset.
+    This is the one place that applies the self-avoiding shift: node i
+    picks p + (p >= i), and with the offset o = b*n that is q + (q >= src)
+    for q = p + o and src = i + o.  Arcs come class by class and are not
+    deduplicated: repeated and mutual picks do not change the components.
     """
-    n = params.n
-    types = np.ravel(types)
-    src, dst = [], []
-    for t, (k, pick) in enumerate(zip(params.type_selections, blocks)):
-        node = np.flatnonzero(types == t)
-        if k > 1:
-            node = np.repeat(node, k)
-        local = node % n
-        src.append(node)
-        dst.append(pick + (pick >= local) + (node - local))
-    return np.concatenate(src), np.concatenate(dst)
+    ks = params.type_selections
+    src = np.concatenate([np.repeat(node, k) if k > 1 else node for k, node in zip(ks, nodes)])
+    dst = np.concatenate(blocks, dtype=np.int64)
+    if counts is not None:
+        starts = np.arange(0, len(counts) * params.n, params.n)
+        # arcs run class by class, and within a class draw by draw
+        dst +=np.repeat(np.tile(starts, params.r), (counts * ks).T.ravel())
+    return src, dst + (dst >= src)
 
 
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:

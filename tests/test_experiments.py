@@ -72,7 +72,9 @@ _BATCH_30 = experiments._BATCH_NODES // 30  # trials per labeling batch at n=30
     (two_type_params(1000, 0.9, 2), 20, 9),
     (GraphParams(n=50, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)), 2, 300),
     (two_type_params(40, 0.5, 12), 0, 200),  # most rows are redrawn
-], ids=["n30", "n30-d3", "n1000-d20", "3-class", "n40-K12"])
+    (two_type_params(5000, 0.9, 2), 0, 3),  # one trial a batch
+    (two_type_params(5000, 0.9, 2), 20, 3),
+], ids=["n30", "n30-d3", "n1000-d20", "3-class", "n40-K12", "n5000", "n5000-d20"])
 def test_collect_cmax_matches_per_trial_reference(params, d, trials, workers):
     got = collect_cmax(params, d, trials, seed=31, point_index=2, workers=workers)
     assert got.dtype == np.int64
@@ -198,7 +200,7 @@ _ROUNDS_RUN = {(_LATER_RARE, 0): 3, (_LATER_RARE, 1): 3}
     (_LATER_RARE, 0, 8 * _BATCH_30),
 ], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1", "later-rare"])
 def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
-    # every pick, type and deleted node equals the per-trial draw's
+    # every pick, class node list and deleted node equals the per-trial draw's
     fallbacks = _count_fallbacks(monkeypatch)
     rounds = []
     spares = experiments._Spares
@@ -207,9 +209,11 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
     lo = lone = 0
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
         lone += len(keys) == 1
-        types, blocks, dead = experiments._batch_draw(params, d, rng, keys)
+        nodes, blocks, counts, dead = experiments._batch_draw(params, d, rng, keys)
         want_types, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
-        assert np.array_equal(types, want_types)
+        assert len(nodes) == params.r
+        assert all(np.array_equal(nodes[t], np.flatnonzero(want_types == t))
+                   for t in range(params.r))
         assert len(blocks) == params.r
         assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks))
         assert dead.shape == (len(keys), d) and np.array_equal(dead, want_dead)
@@ -226,9 +230,11 @@ def test_lone_trials_keep_to_draw_trial(monkeypatch):
     monkeypatch.setattr(experiments, "_first_rounds", None)
     params = two_type_params(40, 0.5, 12)
     rng = np.random.Generator(np.random.Philox(0))
-    types, blocks, dead = experiments._batch_draw(params, 3, rng, trial_keys(31, 2, 7, 8))
+    nodes, blocks, counts, dead = experiments._batch_draw(params, 3, rng, trial_keys(31, 2, 7, 8))
     want_types, want_blocks, want_dead = _per_trial_draws(params, 3, 7, 8)
-    assert np.array_equal(types, want_types) and np.array_equal(dead, want_dead)
+    assert counts is None and np.array_equal(dead, want_dead)
+    assert len(nodes) == params.r
+    assert all(np.array_equal(a, np.flatnonzero(want_types == t)) for t, a in enumerate(nodes))
     assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks, strict=True))
 
 
@@ -345,11 +351,17 @@ _SWEEP_HASHES = [
     (dict(sweep_param="d", sweep_values=(0, 3), n=40, mu=0.5, k=8, trials=300),
      "ed3e045a8f76d8c781f7776251a9d1bf06e780322c231288013c117cd6cfdf92",
      "feaef73fd645e108f52e16033491540b696b8a7b54017b634b0665640f8fe2c7"),
+    # one trial a batch (n > _BATCH_NODES), recorded before the lone trial's
+    # arcs came from per-class node lists
+    (dict(sweep_param="d", sweep_values=(0, 20), n=5000, mu=0.9, k=2, trials=30),
+     "98b3ce8988cfede1d1a3cb4e99e23c25d57ebf423f17705a9ebd3a930560d145",
+     "ae74290c234996889037aba6cf91243f5eb5716b9e4ce7fcd186b0f93c70e833"),
 ]
 
 
 @pytest.mark.parametrize("conf,csv_sha,json_sha", _SWEEP_HASHES,
-                         ids=["c10-mu", "d-sweep", "n40-K-sweep", "n40-K8-d-sweep"])
+                         ids=["c10-mu", "d-sweep", "n40-K-sweep", "n40-K8-d-sweep",
+                              "n5000-d-sweep"])
 def test_sweep_bytes_match_recorded_hashes(tmp_path, conf, csv_sha, json_sha):
     run_sweep(ExperimentConfig(seed=20240819, out=str(tmp_path / "s"), **conf), workers=1)
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == csv_sha

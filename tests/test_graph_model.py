@@ -191,8 +191,10 @@ def test_fixed_pair_adjacency_probability():
     n, trials = params.n, 100_000
     rng = np.random.default_rng(5)
     xs, blocks = zip(*(draw_trial(params, rng) for _ in range(trials)))
-    u, v = union_arcs(params, types_from_uniforms(params, np.stack(xs)),
-                      [np.concatenate(c) for c in zip(*blocks)])
+    types = types_from_uniforms(params, np.stack(xs))
+    u, v = union_arcs(params, [np.flatnonzero(types == t) for t in range(params.r)],
+                      [np.concatenate(c) for c in zip(*blocks)],
+                      np.stack([(types == t).sum(axis=1) for t in range(params.r)], axis=1))
     pair = u % n + v % n == 1  # an arc 0->1 or 1->0 within its draw
     hits = np.unique(u[pair] // n).size
     sigma = math.sqrt(p * (1 - p) / trials)

@@ -1,4 +1,4 @@
-"""Property tests: the sampler's repeat test against a sort-based reference.
+"""Property tests of the sampler's repeat test and of the batch's arcs.
 
 graph_model._rows_with_repeats finds the rows of raw picks that hold a
 value twice: from a bitmask of each row's picks at n <= 65, where every
@@ -7,12 +7,21 @@ rows of width 2-20 at n in {3, 40, 65, 66, 130, 5000}, as int8 where
 the picks fit, as the smallest type that holds them, and as int64.
 Some picks are tied to an earlier pick of their row: the same value, or
 one 64 apart, which would share its bit while differing.
+
+union_arcs decodes a batch of B draws from the engine's per-class node
+lists as one graph on B*n nodes.  Cases draw 1-6 trials at n in [3, 70]
+with two or three classes, the first of one or two picks, and check the
+batch's arcs, class by class, against each trial's own graph
+(construct_r_type on its trial_stream) moved to node b*n.  A lone trial
+passes no class counts, so B = 1 and B > 1 take separate offset paths.
 """
 
 import numpy as np
 import pytest
 
-from koutlab.graph_model import _rows_with_repeats
+from koutlab import experiments
+from koutlab.experiments import trial_keys, trial_stream
+from koutlab.graph_model import GraphParams, _rows_with_repeats, construct_r_type, union_arcs
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -46,3 +55,38 @@ def test_rows_with_repeats_matches_sorting(case):
     sel, n = case
     assert np.array_equal(_rows_with_repeats(sel, n), _reference(sel))
     assert _rows_with_repeats(sel[:0], n).size == 0
+
+
+@st.composite
+def batches(draw):
+    n = draw(st.integers(3, 70))
+    r = draw(st.sampled_from([2, 3] if n >= 4 else [2]))
+    first = draw(st.integers(1, min(2, n - r)))  # the first class picks one or two nodes
+    later = draw(st.lists(st.integers(first + 1, n - 1), min_size=r - 1, max_size=r - 1,
+                          unique=True))
+    weights = draw(st.lists(st.integers(1, 9), min_size=r, max_size=r))
+    params = GraphParams(n=n, type_probs=tuple(w / sum(weights) for w in weights),
+                         type_selections=(first, *sorted(later)))
+    trials, d = draw(st.integers(1, 6)), draw(st.sampled_from([0, 1]))
+    return params, trials, d, draw(st.integers(0, 2**32))
+
+
+@PROPERTY
+@given(batches())
+def test_union_arcs_of_a_batch_are_each_draws_arcs_moved(case):
+    params, trials, d, seed = case
+    rng = np.random.Generator(np.random.Philox(0))
+    keys = trial_keys(seed, 0, 0, trials)
+    nodes, blocks, counts, _ = experiments._batch_draw(params, d, rng, keys)
+    assert (counts is None) == (trials == 1)
+    src, dst = union_arcs(params, nodes, blocks, counts)
+    graphs = [construct_r_type(params, trial_stream(seed, 0, b)) for b in range(trials)]
+    want_src, want_dst = [], []
+    for t in range(params.r):
+        for b, g in enumerate(graphs):
+            u, v = g.arcs
+            mine = g.node_types[u] == t  # the graph's class-t arcs, in order
+            want_src.append(u[mine] + b * params.n)
+            want_dst.append(v[mine] + b * params.n)
+    assert np.array_equal(src, np.concatenate(want_src))
+    assert np.array_equal(dst, np.concatenate(want_dst))
