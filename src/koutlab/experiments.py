@@ -201,8 +201,10 @@ def _spare_sizer(params):
     and every pick of the later classes (_row_pick_moments), in
     expectation plus _SPARE_SIGMAS standard deviations, plus one row of
     that call's class: the need comes in rows, and at small means the
-    deviations fall short of the next one.  Sizes are kept by counts,
-    which take few values."""
+    deviations fall short of the next one.  The size is rounded up to
+    whole rows of that class, k-slices, so that a batch's spare blocks
+    line up as one table of slices (_slice_rounds).  Sizes are kept by
+    counts, which take few values."""
     f, k = params._first_rows, params.type_selections[params._first_rows]
     moments = [(0.0, 0.0)] * f + _row_pick_moments(params)[f:]
     means, variances = (list(m) for m in zip(*moments))
@@ -210,8 +212,9 @@ def _spare_sizer(params):
 
     @lru_cache(maxsize=4096)
     def size(counts):
-        return k + math.ceil(sum(map(mul, counts, means))
+        need = k + math.ceil(sum(map(mul, counts, means))
                              + _SPARE_SIGMAS * math.sqrt(sum(map(mul, counts, variances))))
+        return -(-need // k) * k  # whole k-slices
     return size
 
 
@@ -248,6 +251,55 @@ class _Spares:
         return take
 
 
+# _slice_rounds tests this many spare slices for repeats at a time, so
+# that the test's temporaries do not grow with the batch's spare
+_SLICE_CHUNK = 2048
+
+
+def _slice_rounds(spare, owner, rows, n, bad):
+    """_redraw_repeats(spare.taker(owner), rows, n) for the batch's first
+    class with k >= 2 picks, whose rows take the first picks of each
+    spare block, bad listing its rows that hold a repeat.
+
+    Every block is whole k-slices (_spare_sizer), so spare.flat is a
+    table of slices, and each slice is tested for a repeat once, before
+    the rounds.  A round gives each bad row the next slice of its trial,
+    a trial's rows in row order, and keeps the rows whose slice is
+    marked (holds a repeat), still in row order.  So a trial's slices go
+    out in block order, first to its w bad rows and then to the rows of
+    its marked slices in turn: the row of its j-th marked slice takes
+    the block's slice w + j next.  The rounds therefore move cursors along that
+    successor of each slice, worked out once for the batch.  Each row
+    ends on an unmarked slice of its own, so a trial runs out, by the
+    taker's rule, when its block holds fewer than w unmarked slices.
+    One gather writes each row's last slice into rows.
+    """
+    if not bad.size:
+        return
+    k = rows.shape[1]
+    table = spare.flat.reshape(-1, k)
+    marked = np.zeros(len(table), dtype=bool)
+    for a in range(0, len(table), _SLICE_CHUNK):
+        marked[a + _rows_with_repeats(table[a:a + _SLICE_CHUNK], n)] = True
+    start, end = spare.pos // k, spare.end // k  # each trial's slices
+    trial = owner[bad]  # non-decreasing: rows are listed in order
+    wanted = np.bincount(trial, minlength=start.size)
+    seen = np.concatenate(([0], np.cumsum(marked)))  # seen[s]: marked slices before s
+    spare.failed |= (end - start) - (seen[end] - seen[start]) < wanted
+    # trial b's marked slice s is followed by slice start[b] + wanted[b]
+    # + (its rank among b's marked slices); an unmarked slice is final
+    after = np.repeat(start + wanted - seen[start], end - start) + seen[:-1]
+    after = np.where(marked, after, np.arange(len(table)))
+    cursor = np.repeat(start - np.cumsum(wanted) + wanted, wanted) + np.arange(trial.size)
+    served = ~spare.failed[trial]
+    bad, trial, cursor = bad[served], trial[served], cursor[served]
+    while marked[cursor].any():
+        cursor = after[cursor]
+    rows[bad] = table[cursor]
+    np.maximum.at(start, trial, cursor + 1)  # past the last slice its rows took
+    spare.pos = start * k
+
+
 def _trial_by_trial(params, d, rng, keys):
     """_batch_draw's result for a batch of one trial (keys holds one
     key): rekey, draw_trial, and with d > 0 draw_deleted.  Its blocks are
@@ -266,9 +318,8 @@ def _first_rounds(params, d, rng, keys):
     picks, counts the (B, r) class sizes, spares[b] trial b's spare block
     (None when it needs none; with d == 0, when no trial of the batch
     does), states[b] its state before the block when d > 0, dead[b] its
-    deleted nodes when it has no block, and bad, with d == 0, the
-    repeating rows of blocks[-1], the first class with k >= 2 (None
-    when d > 0)."""
+    deleted nodes when it has no block, and bad the repeating rows of
+    blocks[-1], the first class with k >= 2."""
     n, f = params.n, params._first_rows
     k, size = params.type_selections[f], _spare_sizer(params)
     xs, counts, heads, rows, spares, states = [], [], [], [], [], {}
@@ -290,11 +341,10 @@ def _first_rounds(params, d, rng, keys):
                 dead[b] = draw_deleted(n, d, rng)
         spares.append(spare)
     blocks = [np.concatenate(heads)] * f + [np.concatenate(rows)]
-    counts, bad = np.array(counts), None
-    if not d:
-        bad = _rows_with_repeats(blocks[f].reshape(-1, k), n)
-        if not (bad.size or counts[:, f + 1:].any()):
-            spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
+    counts = np.array(counts)
+    bad = _rows_with_repeats(blocks[f].reshape(-1, k), n)
+    if not (d or bad.size or counts[:, f + 1:].any()):
+        spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
     return class_nodes(params, np.concatenate(xs)), blocks, counts, spares, states, dead, bad
 
 
@@ -315,22 +365,24 @@ def _batch_draw(params, d, rng, keys):
     dtype, so the picks draw_trial would draw after that call are the
     next ones of the stream.  A trial's spare block holds them: its
     expected need plus _SPARE_SIGMAS standard deviations, sized from its
-    class counts alone (_spare_sizer).  With d == 0 the first call draws
-    the block too, so a trial makes one integers call; one repeat test
-    on the batch's first rows then drops every block when no trial has
-    a repeated row or later-class rows; otherwise its bad rows start
-    the first class's rounds.  With d > 0 a trial with
-    a repeated row, or with later-class rows, draws its block in a call
-    of its own, since its deleted nodes must be drawn from the stream
-    right after the picks it used.  The redraw rounds
-    (_redraw_repeats, _distinct_columns) and the later classes' first
-    rows are then carved from the blocks for all trials at once, class
-    by class, one cursor per trial (_Spares).  A trial whose block runs
-    out is drawn again through draw_trial.  With d > 0 a trial without a
-    block draws its deleted nodes right away; one with a block returns
-    to its state from before the block, draws again the picks it used,
-    then its deleted nodes.  A lone trial, with no batch to share its
-    rounds with, is drawn through draw_trial.
+    class counts alone and rounded up to whole k-slices of that class
+    (_spare_sizer).  With d == 0 the first call draws the block too, so
+    a trial makes one integers call; one repeat test on the batch's
+    first rows then drops every block when no trial has a repeated row
+    or later-class rows.  With d > 0 a trial with a repeated row, or
+    with later-class rows, draws its block in a call of its own, since
+    its deleted nodes must be drawn from the stream right after the
+    picks it used.  The first rows' bad rows start that class's rounds,
+    which run on slice ids: each slice of the batch's blocks is tested
+    for a repeat once, and a round only moves cursors (_slice_rounds).
+    The other redraw rounds (_redraw_repeats, _distinct_columns) and the
+    later classes' first rows are then carved from the blocks for all
+    trials at once, class by class, one cursor per trial (_Spares).  A
+    trial whose block runs out is drawn again through draw_trial.  With
+    d > 0 a trial without a block draws its deleted nodes right away;
+    one with a block returns to its state from before the block, draws
+    again the picks it used, then its deleted nodes.  A lone trial, with
+    no batch to share its rounds with, is drawn through draw_trial.
     """
     if len(keys) == 1:
         return _trial_by_trial(params, d, rng, keys)
@@ -352,8 +404,10 @@ def _batch_draw(params, d, rng, keys):
             blocks.append(block.ravel())
         if params._fills_columns[t]:
             _distinct_columns(spare.taker(owner), block)
-        else:  # with d == 0, _first_rounds has found the first class's bad rows
-            _redraw_repeats(spare.taker(owner), block, n, bad if t == first else None)
+        elif t == first:
+            _slice_rounds(spare, owner, block, n, bad)
+        else:
+            _redraw_repeats(spare.taker(owner), block, n)
     for b in np.flatnonzero(spare.failed):
         _, exact, _, dead[b:b + 1] = _trial_by_trial(params, d, rng, keys[b:b + 1])
         for t in range(first, params.r):
@@ -385,9 +439,9 @@ def _batch_sizes(params, d, rng, keys) -> np.ndarray:
         alive = np.ones(nodes, dtype=bool)
         starts = np.arange(len(keys), dtype=np.int64) * n
         alive[(dead + starts[:, None]).ravel()] = False
-        keep = alive[u] & alive[v]
-        # a deleted node is left a singleton, never larger than a survivor's component
-        u, v = u[keep], v[keep]
+        # an arc with a deleted end becomes a self-loop, so a deleted node
+        # is left a singleton, never larger than a survivor's component
+        v = np.where(alive[u] & alive[v], v, u)
     return _sizes_per_graph(n, nodes, u, v)
 
 

@@ -230,13 +230,14 @@ def _rows_with_repeats(sel, n) -> np.ndarray:
     A row of two picks is compared directly.  At n <= 65 every pick is
     below 64, so each row ORs together its bits 1 << p, and a row of k
     picks whose mask has k bits set is distinct.  Above that, where
-    picks could share a bit without being equal, each row is sorted.
+    picks could share a bit without being equal, each row is sorted, as
+    int16 at least: numpy sorts 1-byte rows several times slower.
     """
     k = sel.shape[1]
     if k == 2:
         return (sel[:, 0] == sel[:, 1]).nonzero()[0]
     if n > 65:
-        s = np.sort(sel, axis=1)
+        s = np.sort(sel.astype(np.promote_types(sel.dtype, np.int16), copy=False), axis=1)
         return (s[:, 1:] == s[:, :-1]).any(axis=1).nonzero()[0]
     bits = sel.T.astype(np.uint64, order="C")  # one contiguous row per column
     np.left_shift(1, bits, out=bits)
@@ -249,9 +250,9 @@ def _fresh_picks(rng, n):
     return lambda rows, width: (rows, rng.integers(0, n - 1, size=(rows.size, width)))
 
 
-def _redraw_repeats(take, rows, n, bad=None):
+def _redraw_repeats(take, rows, n):
     """Redraw, in place, every row of raw picks in [0, n-1) that holds a
-    value twice (bad, when given, lists those rows already).
+    value twice.
 
     take(bad, width) hands the listed rows width new picks each, in row
     order, and returns (the rows it served, their picks); a row it does
@@ -260,8 +261,7 @@ def _redraw_repeats(take, rows, n, bad=None):
     the k-subsets.  Rows are checked before the self-avoiding shift,
     which is monotone within a row and so keeps repeats as they are.
     """
-    if bad is None:
-        bad = _rows_with_repeats(rows, n)
+    bad = _rows_with_repeats(rows, n)
     while bad.size:
         bad, redo = take(bad, rows.shape[1])
         rows[bad] = redo

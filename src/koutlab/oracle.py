@@ -31,7 +31,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from itertools import combinations, compress
+from itertools import chain, combinations, compress
 from math import comb, exp, lgamma
 
 import numpy as np
@@ -66,7 +66,8 @@ def _lgamma_rows(starts, size):
     """Row i holds math.lgamma(starts[i] + j) for j in range(size).
 
     Arguments below 1 give nan.  Rows that overlap or touch are read from
-    one contiguous span, so each integer is evaluated once.
+    one contiguous span, so each integer is evaluated once, and every
+    span comes from one fromiter over the spans' chained ranges.
     """
     rows = np.full((len(starts), size), np.nan)
     order = sorted(range(len(starts)), key=starts.__getitem__)
@@ -76,15 +77,16 @@ def _lgamma_rows(starts, size):
             groups[-1].append(i)
         else:
             groups.append([i])
-    for group in groups:
-        lo, hi = max(starts[group[0]], 1), starts[group[-1]] + size
-        if hi <= lo:
-            continue
-        span = np.fromiter(map(lgamma, range(lo, hi)), float, hi - lo)
+    spans = [range(max(starts[group[0]], 1), starts[group[-1]] + size) for group in groups]
+    values = np.fromiter(map(lgamma, chain.from_iterable(spans)), float, sum(map(len, spans)))
+    at = 0
+    for group, span in zip(groups, spans):
+        base = at - span.start  # lgamma(x) is values[base + x] for x in span
+        at += len(span)
         for i in group:
-            skip = max(lo - starts[i], 0)
+            skip = max(span.start - starts[i], 0)
             if skip < size:
-                rows[i, skip:] = span[starts[i] + skip - lo:starts[i] + size - lo]
+                rows[i, skip:] = values[base + starts[i] + skip:base + starts[i] + size]
     return rows
 
 
