@@ -220,7 +220,7 @@ def _spare_sizer(params):
 
 class _Spares:
     """The batch's spare blocks in one array of dtype, and a cursor into
-    each (blocks[b] is trial b's, or None).
+    each (blocks[b] is trial b's).
 
     taker(owner) returns the take of _redraw_repeats and _distinct_columns
     for one class's rows, owner[i] being the trial of row i: each listed
@@ -230,8 +230,8 @@ class _Spares:
     """
 
     def __init__(self, blocks, dtype):
-        size = np.array([0 if block is None else block.size for block in blocks])
-        self.flat = np.concatenate([block for block in blocks if block is not None], dtype=dtype)
+        size = np.array([block.size for block in blocks])
+        self.flat = np.concatenate(blocks, dtype=dtype)
         self.end = np.cumsum(size)
         self.start = self.end - size
         self.pos = self.start.copy()
@@ -301,94 +301,88 @@ def _slice_rounds(spare, owner, rows, n, bad):
 
 
 def _trial_by_trial(params, d, rng, keys):
-    """_batch_draw's result for a batch of one trial (keys holds one
-    key): rekey, draw_trial, and with d > 0 draw_deleted.  Its blocks are
-    draw_trial's own and its class counts None, union_arcs' one draw."""
-    (key,) = keys
-    _rekey(rng, key)
-    x, blocks = draw_trial(params, rng)
-    dead = draw_deleted(params.n, d, rng)[None] if d else np.empty((1, 0), dtype=np.int64)
-    return class_nodes(params, x), blocks, None, dead
-
-
-def _first_rounds(params, d, rng, keys):
-    """_batch_draw's loop over the trials.  Returns (nodes, blocks,
-    counts, spares, states, dead, bad): nodes lists each class's nodes
-    (class_nodes, on the batch's uniforms), blocks holds the _first_draw
-    picks, counts the (B, r) class sizes, spares[b] trial b's spare block
-    (None when it needs none; with d == 0, when no trial of the batch
-    does), states[b] its state before the block when d > 0, dead[b] its
-    deleted nodes when it has no block, and bad the repeating rows of
-    blocks[-1], the first class with k >= 2."""
-    n, f = params.n, params._first_rows
-    k, size = params.type_selections[f], _spare_sizer(params)
-    xs, counts, heads, rows, spares, states = [], [], [], [], [], {}
+    """_batch_draw's result drawn trial by trial: per key, rekey,
+    draw_trial, and with d > 0 draw_deleted.  Each class's blocks are
+    concatenated in trial order, and the (B, r) class counts come from
+    their sizes; a lone trial's counts are None, union_arcs' one draw."""
+    xs, picks = [], []
     dead = np.empty((len(keys), d), dtype=np.int64)
     for b, key in enumerate(keys):
         _rekey(rng, key)
-        # with d == 0 nothing follows a trial's picks, so its spare joins its first call
-        x, c, head, picks, spare = _first_draw(params, rng, None if d else size)
+        x, blocks = draw_trial(params, rng)
+        xs.append(x)
+        picks.append(blocks)
+        if d:
+            dead[b] = draw_deleted(params.n, d, rng)
+    if len(keys) == 1:
+        return class_nodes(params, x), blocks, None, dead
+    counts = np.array([[block.size for block in blocks] for blocks in picks])
+    blocks = [np.concatenate(c) for c in zip(*picks)]
+    return class_nodes(params, np.concatenate(xs)), blocks, counts // params.type_selections, dead
+
+
+def _first_rounds(params, rng, keys):
+    """_batch_draw's loop over the trials.  Returns (nodes, blocks,
+    counts, spares, bad): nodes lists each class's nodes (class_nodes,
+    on the batch's uniforms), blocks holds the _first_draw picks, counts
+    the (B, r) class sizes, spares[b] trial b's spare block, drawn by
+    the same integers call as its first rows, and bad the repeating rows
+    of blocks[-1], the first class with k >= 2."""
+    n, f = params.n, params._first_rows
+    k, size = params.type_selections[f], _spare_sizer(params)
+    xs, counts, heads, rows, spares = [], [], [], [], []
+    for key in keys:
+        _rekey(rng, key)
+        x, c, head, picks, spare = _first_draw(params, rng, size)
         xs.append(x)
         counts.append(c)
         heads.append(head)
         rows.append(picks)
-        if d:
-            if any(c[f + 1:]) or _rows_with_repeats(picks.reshape(-1, k), n).size:
-                states[b] = rng.bit_generator.state
-                spare = rng.integers(0, n - 1, size=size(c), dtype=np.int32)
-            else:
-                spare = None
-                dead[b] = draw_deleted(n, d, rng)
         spares.append(spare)
     blocks = [np.concatenate(heads)] * f + [np.concatenate(rows)]
-    counts = np.array(counts)
     bad = _rows_with_repeats(blocks[f].reshape(-1, k), n)
-    if not (d or bad.size or counts[:, f + 1:].any()):
-        spares = [None] * len(keys)  # the batch has no repeated row and no later-class row
-    return class_nodes(params, np.concatenate(xs)), blocks, counts, spares, states, dead, bad
+    return class_nodes(params, np.concatenate(xs)), blocks, np.array(counts), spares, bad
 
 
 def _batch_draw(params, d, rng, keys):
     """draw_trial and draw_deleted for the trials with these keys, drawn
-    as they draw them, with the redraw rounds run on the whole batch.
+    as they draw them, with the redraw rounds run on the whole batch
+    when d == 0.
 
     Returns (nodes, blocks, counts, dead), union_arcs' input and the
     (B, d) deleted nodes: each class's nodes as flat ids b*n + i, trial
     by trial, worked out once for the batch from its type uniforms
     (class_nodes), each class's picks concatenated in trial order, and
-    the (B, r) class counts (None for a lone trial).  One generator
-    serves every trial.  Per trial
-    it is rekeyed and makes draw_trial's first calls (_first_draw, in
-    _first_rounds): the type uniforms and the integers call of the first
-    class with k >= 2 (with the single picks ahead of it).  Calls with
-    one bound consume the stream in turn, whatever their size and int
-    dtype, so the picks draw_trial would draw after that call are the
-    next ones of the stream.  A trial's spare block holds them: its
-    expected need plus _SPARE_SIGMAS standard deviations, sized from its
-    class counts alone and rounded up to whole k-slices of that class
-    (_spare_sizer).  With d == 0 the first call draws the block too, so
-    a trial makes one integers call; one repeat test on the batch's
-    first rows then drops every block when no trial has a repeated row
-    or later-class rows.  With d > 0 a trial with a repeated row, or
-    with later-class rows, draws its block in a call of its own, since
-    its deleted nodes must be drawn from the stream right after the
-    picks it used.  The first rows' bad rows start that class's rounds,
-    which run on slice ids: each slice of the batch's blocks is tested
-    for a repeat once, and a round only moves cursors (_slice_rounds).
-    The other redraw rounds (_redraw_repeats, _distinct_columns) and the
-    later classes' first rows are then carved from the blocks for all
-    trials at once, class by class, one cursor per trial (_Spares).  A
-    trial whose block runs out is drawn again through draw_trial.  With
-    d > 0 a trial without a block draws its deleted nodes right away;
-    one with a block returns to its state from before the block, draws
-    again the picks it used, then its deleted nodes.  A lone trial, with
-    no batch to share its rounds with, is drawn through draw_trial.
+    the (B, r) class counts (None for a lone trial).  A lone trial, with
+    no batch to share its rounds with, and every batch with d > 0, whose
+    deleted nodes must be drawn from each stream right after the picks
+    it used, are drawn trial by trial (_trial_by_trial).
+
+    Otherwise one generator serves every trial.  Per trial it is rekeyed
+    and makes draw_trial's first calls (_first_draw, in _first_rounds):
+    the type uniforms and the integers call of the first class with
+    k >= 2 (with the single picks ahead of it).  Calls with one bound
+    consume the stream in turn, whatever their size and int dtype, so
+    the picks draw_trial would draw after that call are the next ones of
+    the stream, and the same call draws them as the trial's spare block:
+    its expected need plus _SPARE_SIGMAS standard deviations, sized from
+    its class counts alone and rounded up to whole k-slices of that
+    class (_spare_sizer).  A batch with no repeated first row and no
+    later-class row is done.  Otherwise the first rows' bad rows start
+    that class's rounds, which run on slice ids: each slice of the
+    batch's blocks is tested for a repeat once, and a round only moves
+    cursors (_slice_rounds).  The other redraw rounds (_redraw_repeats,
+    _distinct_columns) and the later classes' first rows are then
+    carved from the blocks for all trials at once, class by class, one
+    cursor per trial (_Spares).  A trial whose block runs out is drawn
+    again trial by trial.
     """
-    if len(keys) == 1:
+    if d or len(keys) == 1:
         return _trial_by_trial(params, d, rng, keys)
     n, ks, first = params.n, params.type_selections, params._first_rows
-    nodes, blocks, counts, spares, states, dead, bad = _first_rounds(params, d, rng, keys)
-    if all(block is None for block in spares):  # no redraws and no later rows
+    nodes, blocks, counts, spares, bad = _first_rounds(params, rng, keys)
+    dead = np.empty((len(keys), 0), dtype=np.int64)
+    if not (bad.size or counts[:, first + 1:].any()):  # no redraws and no later rows
         blocks += [np.empty(0, dtype=np.int64)] * (params.r - len(blocks))
         return nodes, blocks, counts, dead
     spare = _Spares(spares, np.min_scalar_type(-n))  # holds every raw pick, each in [0, n-1)
@@ -409,24 +403,21 @@ def _batch_draw(params, d, rng, keys):
         else:
             _redraw_repeats(spare.taker(owner), block, n)
     for b in np.flatnonzero(spare.failed):
-        _, exact, _, dead[b:b + 1] = _trial_by_trial(params, d, rng, keys[b:b + 1])
+        _, exact, _, _ = _trial_by_trial(params, 0, rng, keys[b:b + 1])
         for t in range(first, params.r):
             at = counts[:b, t].sum() * ks[t]
             blocks[t][at:at + exact[t].size] = exact[t]
-    for b, state in states.items():
-        if not spare.failed[b]:
-            rng.bit_generator.state = state
-            rng.integers(0, n - 1, size=spare.pos[b] - spare.start[b], dtype=np.int32)
-            dead[b] = draw_deleted(n, d, rng)
     return nodes, blocks, counts, dead
 
 
 def _batch_sizes(params, d, rng, keys) -> np.ndarray:
     """Component sizes of the trials with these keys, labeled as one disjoint union.
 
-    The trials are drawn by _batch_draw, whose class node lists and
-    counts let union_arcs place trial b's nodes at b*n without a
-    division; everything after the draw runs on the whole batch.  Row b,
+    The trials are drawn by _batch_draw, which shares the redraw rounds
+    of a batch with d == 0 and draws a batch with d > 0 trial by trial;
+    either way its class node lists and counts let union_arcs place
+    trial b's nodes at b*n without a division, and everything after the
+    draw runs on the whole batch.  Row b,
     entry i of the (B, n) result is the size of trial b's component
     whose smallest node is i, and 0 where i is not the smallest; a
     deleted node is left a singleton, size 1.
@@ -464,22 +455,25 @@ def _pool_size(workers, tasks) -> int:
 
 def collect_cmax(params, d, trials, seed, point_index=0, workers=None) -> np.ndarray:
     """Largest-component size of every trial, in trial order."""
-    trials = int(trials)
+    d, trials, seed, point_index = (_number(value, int, name) for value, name in (
+        (d, "d"), (trials, "trials"), (seed, "seed"), (point_index, "point_index")))
     if not 1 <= trials <= 1 << 32:
         raise ParameterError("need between 1 and 2**32 trials")
-    if not 0 <= int(d) < params.n:
+    if not 0 <= d < params.n:
         raise ParameterError("deletion count must satisfy 0 <= d < n")
-    if int(seed) < 0:
+    if seed < 0:
         raise ParameterError("seed must be a non-negative integer")
+    if point_index < 0:
+        raise ParameterError("point_index must be a non-negative integer")
     workers = _pool_size(resolve_workers(workers), trials)
     size = max(256, -(-trials // (workers * 4)))
     tasks = [
-        (params, int(d), seed, point_index, lo, min(lo + size, trials))
+        (params, d, seed, point_index, lo, min(lo + size, trials))
         for lo in range(0, trials, size)
     ]
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
-        return _run_block((params, int(d), seed, point_index, 0, trials))
+        return _run_block((params, d, seed, point_index, 0, trials))
     with ProcessPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(_run_block, tasks))
     return np.concatenate(blocks)
@@ -607,10 +601,11 @@ def _number(value, kind, what):
 
     A bool is refused: true and false are not counts or probabilities."""
     try:
-        number = None if isinstance(value, bool) else kind(value)
+        number = None if isinstance(value, (bool, np.bool_)) else kind(value)
     except (TypeError, ValueError, OverflowError):
         number = None
-    if number is None or (kind is int and isinstance(value, float) and number != value):
+    if number is None or (kind is int and isinstance(value, (float, np.floating))
+                          and number != value):
         raise ParameterError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
                              f"got {value!r}")
     return number
@@ -796,10 +791,10 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     """
     if target.r < 2:
         raise ParameterError("coupling target needs at least two classes")
-    trials = int(trials)
+    trials, seed = _number(trials, int, "trials"), _number(seed, int, "seed")
     if trials < 1:
         raise ParameterError("need at least one trial")
-    if int(seed) < 0:
+    if seed < 0:
         raise ParameterError("seed must be a non-negative integer")
     n = target.n
     base_params = two_type_params(n, sum(target.type_probs[:-1]), target.type_selections[-1])

@@ -326,13 +326,13 @@ def draw_trial(params: GraphParams, rng):
     (_distinct_columns).
 
     The same fact lets the sweep engine (experiments._batch_draw), where
-    trials redraw often, draw every later pick in one larger call (with
-    d == 0 the first integers call itself, through _first_draw's spare)
-    and run the redraw rounds of a whole batch at once: its picks equal
-    these.  Both test rows for repeats with _rows_with_repeats.  This
-    function stays the per-graph path (construct_r_type, the coupling,
-    the engine's lone trials and its fallback) and the engine's
-    reference.
+    trials redraw often, draw every later pick of a trial in its first
+    integers call (through _first_draw's spare) and run the redraw
+    rounds of a whole batch at once when no node is deleted: its picks
+    equal these.  Both test rows for repeats with _rows_with_repeats.
+    This function stays the per-graph path (construct_r_type, the
+    coupling, and the engine's lone trials, batches with deletions and
+    fallback) and the engine's reference.
     """
     n, ks, f = params.n, params.type_selections, params._first_rows
     x, counts, head, raw, _ = _first_draw(params, rng)

@@ -92,14 +92,15 @@ def test_key_batches_cover_the_range_in_order():
 
 # class 1 is redrawn in a third of its rows, and class 2 follows it in the stream
 _MIDDLE_REDRAWN = GraphParams(n=40, type_probs=(0.4, 0.3, 0.3), type_selections=(1, 6, 12))
-# draws of many trials a batch, which share their redraw rounds
+_K5_AT_6 = two_type_params(6, 0.8, 5)  # rows distinct 3.8% of the time: falls back at d == 0
+# draws of many trials a batch; those with d == 0 share their redraw rounds
 _SHARED_CASES = [
     (two_type_params(30, 0.5, 2), 0, _BATCH_30 + 17),  # crosses a batch boundary
     (two_type_params(30, 0.5, 2), 3, 300),
     (GraphParams(n=50, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)), 0, 300),
     (two_type_params(40, 0.5, 12), 0, 250),  # 15% of heavy rows come out distinct
     (two_type_params(40, 0.5, 8), 3, 250),  # deletes after redraws
-    (two_type_params(6, 0.8, 5), 2, 1400),  # rows distinct 3.8% of the time: falls back
+    (_K5_AT_6, 2, 1400),
     (two_type_params(40, 0.5, 25), 0, 200),  # a column-filled class
     (_MIDDLE_REDRAWN, 2, 250),
 ]
@@ -136,15 +137,22 @@ def _assert_rows_match_per_graph_reference(params, d, rows):
 
 
 def _count_fallbacks(monkeypatch):
-    """The key counts of the _trial_by_trial calls to come; on the shared
-    path each is a fallback, one trial at a time."""
-    calls = []
-    by_trial = experiments._trial_by_trial
+    """Why each _trial_by_trial call to come happened: "lone" for a batch
+    of one trial, "deleting" for a batch of several with d > 0, and
+    "run-out" for a trial of a shared batch whose spare block ran out."""
+    calls, batch = [], [0]
+    by_trial, batch_draw = experiments._trial_by_trial, experiments._batch_draw
+
+    def drawn(params, d, rng, keys):
+        batch[0] = len(keys)
+        return batch_draw(params, d, rng, keys)
 
     def counted(params, d, rng, keys):
-        calls.append(len(keys))
+        calls.append("run-out" if len(keys) < batch[0] else "lone" if len(keys) == 1
+                     else "deleting")
         return by_trial(params, d, rng, keys)
 
+    monkeypatch.setattr(experiments, "_batch_draw", drawn)
     monkeypatch.setattr(experiments, "_trial_by_trial", counted)
     return calls
 
@@ -156,20 +164,25 @@ def test_batch_sizes_match_per_graph_reference(params, d, trials):
     _assert_rows_match_per_graph_reference(params, d, rows)
 
 
-@pytest.mark.parametrize("params,d,trials", [_SHARED_CASES[i] for i in (1, 3, 4, 7)],
-                         ids=[_SHARED_IDS[i] for i in (1, 3, 4, 7)])
-def test_batch_sizes_fall_back_without_spares(monkeypatch, params, d, trials):
+@pytest.mark.parametrize("params,trials", [
+    (two_type_params(30, 0.5, 2), 300),
+    (two_type_params(40, 0.5, 12), 250),
+    (two_type_params(40, 0.5, 8), 250),
+    (_MIDDLE_REDRAWN, 250),
+], ids=["n30", "n40-K12", "n40-K8", "3-class-middle"])
+def test_batch_sizes_fall_back_without_spares(monkeypatch, params, trials):
     # with empty spare blocks every trial that redraws, or has later
-    # classes, runs out at once and is drawn again through draw_trial
+    # classes, runs out at once and is drawn again through draw_trial;
+    # spares exist only at d == 0
     fallbacks = _count_fallbacks(monkeypatch)
     monkeypatch.setattr(experiments, "_spare_sizer", lambda params: lambda counts: 0)
-    rows = _batched_rows(params, d, trials)
-    assert fallbacks and set(fallbacks) == {1}
-    _assert_rows_match_per_graph_reference(params, d, rows)
+    rows = _batched_rows(params, 0, trials)
+    assert fallbacks and set(fallbacks) == {"run-out"}
+    _assert_rows_match_per_graph_reference(params, 0, rows)
 
 
-# the trials of _SHARED_CASES that exhaust their spare blocks
-_RUNS_OUT = {(two_type_params(6, 0.8, 5), 2): 5}
+# the trials of test_batch_draw_is_draw_trial that exhaust their spare blocks
+_RUNS_OUT = {(_K5_AT_6, 0): 5}
 
 
 def _per_trial_draws(params, d, lo, hi):
@@ -189,7 +202,7 @@ def _per_trial_draws(params, d, lo, hi):
 # trial keeps a spare block and the batch runs no rounds
 _LATER_RARE = GraphParams(n=30, type_probs=(0.99, 0.009999, 1e-6), type_selections=(1, 2, 3))
 # the batches that run redraw rounds, where not every batch does
-_ROUNDS_RUN = {(_LATER_RARE, 0): 3, (_LATER_RARE, 1): 3}
+_ROUNDS_RUN = {(_LATER_RARE, 0): 3}
 
 
 @pytest.mark.parametrize("params,d,trials", _SHARED_CASES + [
@@ -198,17 +211,20 @@ _ROUNDS_RUN = {(_LATER_RARE, 0): 3, (_LATER_RARE, 1): 3}
     (GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19)), 1, 60),
     (_LATER_RARE, 1, 8 * _BATCH_30),
     (_LATER_RARE, 0, 8 * _BATCH_30),
-], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1", "later-rare"])
+    (_K5_AT_6, 0, 1400),
+], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1", "later-rare",
+                      "n6-K5"])
 def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
-    # every pick, class node list and deleted node equals the per-trial draw's
+    # every pick, class node list, class count and deleted node equals the
+    # per-trial draw's
     fallbacks = _count_fallbacks(monkeypatch)
     rounds = []
     spares = experiments._Spares
     monkeypatch.setattr(experiments, "_Spares", lambda *args: rounds.append(1) or spares(*args))
     rng = np.random.Generator(np.random.Philox(0))
-    lo = lone = 0
+    lo, why = 0, []
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
-        lone += len(keys) == 1
+        why.append("lone" if len(keys) == 1 else "deleting" if d else None)
         nodes, blocks, counts, dead = experiments._batch_draw(params, d, rng, keys)
         want_types, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
         assert len(nodes) == params.r
@@ -217,11 +233,18 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
         assert len(blocks) == params.r
         assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks))
         assert dead.shape == (len(keys), d) and np.array_equal(dead, want_dead)
+        if len(keys) > 1:
+            assert np.array_equal(counts, [[np.count_nonzero(row == t) for t in range(params.r)]
+                                           for row in want_types])
         lo += len(keys)
-    # lone trials, and the trials whose spare block ran out (4 sigma leaves
-    # few), are drawn through draw_trial one at a time
-    assert fallbacks == [1] * (lone + _RUNS_OUT.get((params, d), 0))
-    if (params, d) in _ROUNDS_RUN:
+    # lone trials and batches with d > 0 are drawn trial by trial, and so
+    # are the trials of a shared batch whose spare block ran out (4 sigma
+    # leaves few)
+    runs_out = ["run-out"] * _RUNS_OUT.get((params, d), 0)
+    assert sorted(fallbacks) == sorted([w for w in why if w] + runs_out)
+    if d:
+        assert not rounds  # no batch with d > 0 shares its rounds
+    elif (params, d) in _ROUNDS_RUN:
         assert len(rounds) == _ROUNDS_RUN[params, d]
 
 
@@ -374,6 +397,23 @@ def test_collect_cmax_validates_inputs():
         collect_cmax(params, 0, 0, seed=1)
     with pytest.raises(ParameterError):
         collect_cmax(params, 10, 5, seed=1)
+    # counts that are not integers are refused by name, never truncated
+    for args, name in [((2.5, 10, 1), "d"), ((0, 10.7, 1), "trials"), ((0, True, 1), "trials"),
+                       ((0, 10, 1.5), "seed"), ((0, 10, 1, 0.5), "point_index"),
+                       ((False, 10, 1), "d"), ((np.float32(2.5), 10, 1), "d"),
+                       ((0, np.True_, 1), "trials")]:
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            collect_cmax(params, *args)
+    with pytest.raises(ParameterError, match="^point_index must be a non-negative"):
+        collect_cmax(params, 0, 10, 1, -1)
+    with pytest.raises(ParameterError, match="^d must be an integer"):
+        run_point(params, 1.9, 3, 1)
+    with pytest.raises(ParameterError, match="^trials must be an integer"):
+        run_point(params, 1, 3.5, 1)
+    target = GraphParams(n=20, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
+    for args, name in [((2.5, 1), "trials"), ((True, 1), "trials"), ((3, 1.5), "seed")]:
+        with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
+            coupling_experiment(target, *args)
 
 
 def test_run_point_aggregates_match_trial_data():

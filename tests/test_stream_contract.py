@@ -15,6 +15,14 @@ with a pure-Python decoder of the stream:
    odd A (a half word is carried between the calls) and mixed dtypes.
 3. random() on a fresh key is the top 53 bits of each raw word, over
    2**53.
+4. choice(n, d, replace=False), for n <= 10**4, is Floyd's algorithm
+   over j = n-d .. n-1, each draw 32-bit Lemire in [0, j] on the next
+   halves, a repeat becoming j, then a Fisher-Yates pass that swaps
+   position i with a Lemire draw in [0, i], for i = d-1 .. 1.  The
+   engine's deletions (graph_model.draw_deleted) make this call right
+   after a trial's picks, at any count of halves drawn before it.
+5. numpy leaves Floyd's algorithm for a tail shuffle only above
+   n = 10**4, where d > n // 50.
 
 Keys are Philox keys, so each case starts a fresh stream at counter 0.
 """
@@ -97,3 +105,44 @@ def test_random_is_the_top_53_bits_of_each_raw_word(key, size):
     want = (raw >> np.uint64(11)).astype(np.float64) * 2.0 ** -53
     assert np.array_equal(_generator(key).random(size), want), \
         "fact 3: random() on a fresh key is each raw word's top 53 bits over 2**53"
+
+
+def _choice(halves, n, d):
+    """choice(n, d, replace=False) from halves, by fact 4."""
+    out = []
+    for j in range(n - d, n):
+        (v,) = _lemire(halves, j + 1, 1)
+        out.append(j if v in out else v)
+    for i in range(d - 1, 0, -1):
+        (s,) = _lemire(halves, i + 1, 1)
+        out[i], out[s] = out[s], out[i]
+    return out
+
+
+@st.composite
+def populations(draw):
+    n = draw(st.integers(2, 10**4))
+    return n, draw(st.integers(0, min(n - 1, 50)))
+
+
+@PROPERTY
+@given(keys, populations(), st.integers(0, 300))
+@hypothesis.example(7, (30, 3), 7)  # n=30 d=3 after an odd count of halves
+@hypothesis.example(7, (30, 3), 8)
+def test_choice_is_floyd_then_a_lemire_shuffle(key, population, before):
+    n, d = population
+    rng, halves = _generator(key), _halves(key)
+    # a draw over the full 32-bit range takes one half each, unrejected
+    drawn = rng.integers(0, 1 << 32, size=before, dtype=np.uint32).tolist()
+    assert drawn == [next(halves) for _ in range(before)], \
+        "fact 4: integers(0, 2**32) as uint32 takes one half a draw"
+    got = rng.choice(n, size=d, replace=False).tolist()
+    assert got == _choice(halves, n, d), \
+        "fact 4: choice(n, d, replace=False) is Floyd, then a Lemire shuffle, on the next halves"
+
+
+@pytest.mark.parametrize("n,d,floyd", [(10**4, 201, True), (10**4 + 1, 201, False)])
+def test_choice_leaves_floyd_only_above_the_tail_shuffle_cutoff(n, d, floyd):
+    got = _generator(7).choice(n, size=d, replace=False).tolist()
+    assert (got == _choice(_halves(7), n, d)) == floyd, \
+        "fact 5: numpy's tail shuffle starts above n = 10**4, where d > n // 50"
