@@ -15,8 +15,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from math import ceil, exp, inf
 
-from .errors import ParameterError
-from .graph_model import validate_type_distribution
+from .errors import ParameterError, _ints, _number
+from .graph_model import _read_d, _read_mu, _read_mu_k, validate_type_distribution
 
 
 @dataclass(frozen=True)
@@ -45,12 +45,28 @@ _ASYMPTOTIC_NOTES = (
 
 def mean_selections(mu, k) -> float:
     """Average number of selections per node: mu + (1 - mu) * K."""
-    mu, k = float(mu), int(k)
-    if not 0.0 < mu < 1.0:
-        raise ParameterError("mu must lie strictly inside (0, 1)")
-    if k < 2:
-        raise ParameterError("need K >= 2")
+    mu, k = _read_mu_k(mu, k)
     return mu + (1.0 - mu) * k
+
+
+def _read_deleted_tail(d, x, eps, rate, hypothesis) -> tuple[int, int, float, float]:
+    """A deleted bound's d, x and eps, read and checked, and its scale
+    eps/(1+eps): the one home of 0 < eps < inf, d >= 0, x >= 1 and of the
+    bound's hypothesis x > (1+eps)*d/rate, which a refusal quotes."""
+    d, x = _ints(d=d, x=x)
+    eps = _number(eps, float, "eps")
+    if not 0.0 < eps < inf:
+        raise ParameterError("need 0 < eps < inf")
+    if d < 0:
+        raise ParameterError("deletion count must be nonnegative")
+    if x < 1:
+        raise ParameterError("need x >= 1")
+    threshold = (1.0 + eps) * d / rate
+    # integer x meets a float threshold; pad the strict inequality so
+    # rounding noise in the rate cannot admit a boundary value
+    if x <= threshold * (1.0 + 1e-9):
+        raise ParameterError(f"{hypothesis} = {threshold:g}; got x = {x}")
+    return d, x, eps, eps / (1.0 + eps)
 
 
 def _geometric_tail(x, rate) -> float:
@@ -58,19 +74,22 @@ def _geometric_tail(x, rate) -> float:
     return exp(-x * rate) / (1.0 - exp(-rate))
 
 
+def _tail_from(m, rate, inputs, component) -> AsymptoticBound:
+    """The geometric tail from M at rate, the bound of tail_bound and
+    r_class_tail_bound: the one home of M >= 1."""
+    m = _number(m, int, "m")
+    if m < 1:
+        raise ParameterError("need M >= 1")
+    value = _geometric_tail(m, rate)
+    return AsymptoticBound(value=value, regime_notes=_ASYMPTOTIC_NOTES,
+                           inputs={**inputs, "M": m}, components={component: value})
+
+
 def tail_bound(mu, k, m) -> AsymptoticBound:
     """Asymptotic bound on P[more than M nodes lie outside the largest
     component]: e^{-M(<K>-1)} / (1 - e^{-(<K>-1)})."""
-    m = int(m)
-    if m < 1:
-        raise ParameterError("need M >= 1")
-    rate = mean_selections(mu, k) - 1.0
-    return AsymptoticBound(
-        value=_geometric_tail(m, rate),
-        regime_notes=_ASYMPTOTIC_NOTES,
-        inputs={"mu": float(mu), "K": int(k), "M": m},
-        components={"mean_rate_tail": _geometric_tail(m, rate)},
-    )
+    mu, k = _read_mu_k(mu, k)
+    return _tail_from(m, mean_selections(mu, k) - 1.0, {"mu": mu, "K": k}, "mean_rate_tail")
 
 
 def deleted_tail_bound(mu, k, d, x, eps=1.0) -> AsymptoticBound:
@@ -80,30 +99,16 @@ def deleted_tail_bound(mu, k, d, x, eps=1.0) -> AsymptoticBound:
     Sum of two geometric tails with rates (<K>-1) * eps/(1+eps) and
     (1-mu) * eps/(1+eps); requires x > (1+eps) * d / (<K>-1).
     """
-    d, x = int(d), int(x)
-    eps = float(eps)
-    if not 0.0 < eps < inf:
-        raise ParameterError("need 0 < eps < inf")
-    if d < 0:
-        raise ParameterError("deletion count must be nonnegative")
-    if x < 1:
-        raise ParameterError("need x >= 1")
+    mu, k = _read_mu_k(mu, k)
     rate = mean_selections(mu, k) - 1.0
-    threshold = (1.0 + eps) * d / rate
-    # integer x meets a float threshold; pad the strict inequality so
-    # rounding noise in the rate cannot admit a boundary value
-    if x <= threshold * (1.0 + 1e-9):
-        raise ParameterError(
-            "deleted-graph tail bound requires x > (1+eps)*d/(<K>-1) "
-            f"= {threshold:g}; got x = {x}"
-        )
-    scale = eps / (1.0 + eps)
+    d, x, eps, scale = _read_deleted_tail(
+        d, x, eps, rate, "deleted-graph tail bound requires x > (1+eps)*d/(<K>-1)")
     t_mean = _geometric_tail(x, rate * scale)
-    t_heavy = _geometric_tail(x, (1.0 - float(mu)) * scale)
+    t_heavy = _geometric_tail(x, (1.0 - mu) * scale)
     return AsymptoticBound(
         value=t_mean + t_heavy,
         regime_notes=_ASYMPTOTIC_NOTES,
-        inputs={"mu": float(mu), "K": int(k), "d": d, "x": x, "eps": eps},
+        inputs={"mu": mu, "K": k, "d": d, "x": x, "eps": eps},
         components={"mean_rate_tail": t_mean, "heavy_mass_tail": t_heavy},
     )
 
@@ -112,24 +117,9 @@ def deleted_tail_bound_alt(mu, d, x, eps=1.0) -> AsymptoticBound:
     """Single-tail variant of deleted_tail_bound under a stronger
     hypothesis: requires x > (1+eps) * d / (1-mu), and then only the
     (1-mu)-rate tail remains."""
-    d, x = int(d), int(x)
-    mu = float(mu)
-    eps = float(eps)
-    if not 0.0 < mu < 1.0:
-        raise ParameterError("mu must lie strictly inside (0, 1)")
-    if not 0.0 < eps < inf:
-        raise ParameterError("need 0 < eps < inf")
-    if d < 0:
-        raise ParameterError("deletion count must be nonnegative")
-    if x < 1:
-        raise ParameterError("need x >= 1")
-    threshold = (1.0 + eps) * d / (1.0 - mu)
-    if x <= threshold * (1.0 + 1e-9):
-        raise ParameterError(
-            "single-tail deleted bound requires the stronger condition "
-            f"x > (1+eps)*d/(1-mu) = {threshold:g}; got x = {x}"
-        )
-    scale = eps / (1.0 + eps)
+    mu = _read_mu(mu)
+    d, x, eps, scale = _read_deleted_tail(d, x, eps, 1.0 - mu, "single-tail deleted bound "
+                                          "requires the stronger condition x > (1+eps)*d/(1-mu)")
     t_heavy = _geometric_tail(x, (1.0 - mu) * scale)
     return AsymptoticBound(
         value=t_heavy,
@@ -144,18 +134,10 @@ def r_class_tail_bound(type_probs, type_selections, m) -> AsymptoticBound:
     heaviest class alone.  With r = 2 this equals tail_bound because
     (K-1)(1-mu) = <K> - 1."""
     probs, sels = validate_type_distribution(type_probs, type_selections)
-    m = int(m)
-    if m < 1:
-        raise ParameterError("need M >= 1")
     if sels[-1] < 2:
         raise ParameterError("heaviest class must select at least 2 nodes")
-    rate = (sels[-1] - 1) * probs[-1]
-    return AsymptoticBound(
-        value=_geometric_tail(m, rate),
-        regime_notes=_ASYMPTOTIC_NOTES,
-        inputs={"type_probs": probs, "type_selections": sels, "M": m},
-        components={"heaviest_class_tail": _geometric_tail(m, rate)},
-    )
+    return _tail_from(m, (sels[-1] - 1) * probs[-1],
+                      {"type_probs": probs, "type_selections": sels}, "heaviest_class_tail")
 
 
 def heuristic_giant_lower_bound(n, mu, k, d) -> int:
@@ -166,9 +148,8 @@ def heuristic_giant_lower_bound(n, mu, k, d) -> int:
     1/(<K>-1) survivors.  The small slack inside ceil absorbs float
     noise so exact-integer inputs round predictably.
     """
-    n, d = int(n), int(d)
-    if not 0 <= d < n:
-        raise ParameterError("need 0 <= d < n")
+    n = _number(n, int, "n")
+    d = _read_d(d, n)
     rate = mean_selections(mu, k) - 1.0
     return max(0, ceil(n - d - d / rate - 1e-9))
 
@@ -180,7 +161,7 @@ def er_giant_fraction(c) -> float:
     with mean degree c; beta = 0 always solves the equation, so the
     bisection bracket starts just above it.
     """
-    c = float(c)
+    c = _number(c, float, "c")
     if not 1.0 < c < inf:
         raise ParameterError("need 1 < c < inf; no positive solution exists for c <= 1")
 
@@ -206,8 +187,6 @@ def mean_degree(n, mu, k) -> float:
     From P[two fixed nodes are adjacent] = 2<K>/(n-1) - (<K>/(n-1))^2
     (either selects the other, minus the double count).
     """
-    n = int(n)
-    kavg = mean_selections(mu, k)
-    if int(k) >= n:
-        raise ParameterError("need K < n")
+    n = _number(n, int, "n")
+    kavg = mean_selections(*_read_mu_k(mu, k, n))
     return 2.0 * kavg - kavg * kavg / (n - 1)

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError
+from .errors import ParameterError, _ints, _number
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def connected_components_bfs(g) -> ComponentReport:
 
 def is_cut(g, subset) -> bool:
     """True iff no edge joins the subset to the rest of the surviving nodes."""
-    s = {int(x) for x in subset}
+    s = {_number(x, int, "subset member") for x in subset}
     if not s:
         raise ParameterError("cut subset must be nonempty")
     surv = g.surviving()
@@ -169,7 +169,7 @@ def _sizes_reach_range(sizes, lo, hi, n_eff) -> bool:
 
 def has_cut_in_range(g, lo, hi) -> bool:
     """True iff the graph has a cut whose size lies in [lo, hi]."""
-    lo, hi = int(lo), int(hi)
+    lo, hi = _ints(lo=lo, hi=hi)
     n_eff = g.n_effective
     if not 1 <= lo <= hi <= n_eff:
         raise ParameterError("need 1 <= lo <= hi <= surviving node count")
@@ -198,8 +198,8 @@ def cut_range_implication(sizes, x) -> CutRangeImplication:
     1 <= x <= floor(n_eff / 3) so the range is nonempty and the
     implication is the meaningful one.
     """
-    x = int(x)
-    sizes = [int(s) for s in sizes if s]
+    x = _number(x, int, "x")
+    sizes = [_number(s, int, "sizes entry") for s in sizes if s]
     n_eff = sum(sizes)
     if not 1 <= x <= n_eff // 3:
         raise ParameterError("need 1 <= x <= floor(surviving node count / 3)")

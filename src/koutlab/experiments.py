@@ -25,10 +25,10 @@ from pathlib import Path
 import numpy as np
 
 from .component_analysis import component_labels
-from .errors import ParameterError
-from .graph_model import (GraphParams, _distinct_columns, _first_draw, _redraw_repeats,
-                          _rows_with_repeats, class_nodes, construct_r_type, couple_extend,
-                          draw_deleted, draw_trial, two_type_params, union_arcs)
+from .errors import ParameterError, _ints, _number
+from .graph_model import (GraphParams, _distinct_columns, _first_draw, _read_d,
+                          _redraw_repeats, _rows_with_repeats, class_nodes, construct_r_type,
+                          couple_extend, draw_deleted, draw_trial, two_type_params, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
 from .oracle import _MAX_CLOSED_FORM_N, union_bound_sum
@@ -42,14 +42,11 @@ _OVERLAYS = ("heuristic", "tail", "deleted-tail")
 def resolve_workers(workers=None) -> int:
     """Explicit argument wins, then the KOUTLAB_THREADS env var, then 1."""
     if workers is not None:
-        return max(1, int(workers))
+        return max(1, _number(workers, int, "workers"))
     raw = os.environ.get(THREADS_ENV)
     if raw is None or raw.strip() == "":
         return 1
-    try:
-        return max(1, int(raw))
-    except ValueError:
-        raise ParameterError(f"{THREADS_ENV} must be an integer, got {raw!r}") from None
+    return max(1, _number(raw, int, THREADS_ENV))
 
 
 def trial_stream(master_seed, point_index, trial_index) -> np.random.Generator:
@@ -58,9 +55,8 @@ def trial_stream(master_seed, point_index, trial_index) -> np.random.Generator:
     Counter-based (Philox) and keyed by the full coordinate tuple, so
     any single trial can be reproduced in isolation.
     """
-    ss = np.random.SeedSequence(
-        entropy=(int(master_seed), int(point_index), int(trial_index))
-    )
+    ss = np.random.SeedSequence(entropy=tuple(_ints(
+        master_seed=master_seed, point_index=point_index, trial_index=trial_index)))
     return np.random.Generator(np.random.Philox(ss))
 
 
@@ -93,7 +89,8 @@ def trial_keys(master_seed, point_index, lo, hi) -> np.ndarray:
     are shared, and t is the last word, a uint32 array.  Each step works
     on Python ints and uint32 arrays alike, masked to 32 bits.
     """
-    master_seed, point_index, lo, hi = int(master_seed), int(point_index), int(lo), int(hi)
+    master_seed, point_index, lo, hi = _ints(master_seed=master_seed, point_index=point_index,
+                                             lo=lo, hi=hi)
     if master_seed < 0 or point_index < 0:
         raise ParameterError("seeds and point indices must be non-negative")
     if not 0 <= lo <= hi <= 1 << 32:
@@ -455,12 +452,10 @@ def _pool_size(workers, tasks) -> int:
 
 def collect_cmax(params, d, trials, seed, point_index=0, workers=None) -> np.ndarray:
     """Largest-component size of every trial, in trial order."""
-    d, trials, seed, point_index = (_number(value, int, name) for value, name in (
-        (d, "d"), (trials, "trials"), (seed, "seed"), (point_index, "point_index")))
+    d = _read_d(d, params.n)
+    trials, seed, point_index = _ints(trials=trials, seed=seed, point_index=point_index)
     if not 1 <= trials <= 1 << 32:
         raise ParameterError("need between 1 and 2**32 trials")
-    if not 0 <= d < params.n:
-        raise ParameterError("deletion count must satisfy 0 <= d < n")
     if seed < 0:
         raise ParameterError("seed must be a non-negative integer")
     if point_index < 0:
@@ -497,8 +492,9 @@ def run_point(params, d, trials, seed, point_index=0, workers=None,
               sweep_value=None) -> TrialSummary:
     """Run `trials` independent draws at one parameter point and aggregate."""
     t0 = time.perf_counter()
+    d, trials = _ints(d=d, trials=trials)
     cm = collect_cmax(params, d, trials, seed, point_index=point_index, workers=workers)
-    n_eff = params.n - int(d)
+    n_eff = params.n - d
     mn = int(cm.min())
     return TrialSummary(
         sweep_value=sweep_value,
@@ -506,7 +502,7 @@ def run_point(params, d, trials, seed, point_index=0, workers=None,
         min_cmax=mn,
         max_cmax=int(cm.max()),
         max_outside=n_eff - mn,
-        trials=int(trials),
+        trials=trials,
         n_effective=n_eff,
         wall_time=time.perf_counter() - t0,
     )
@@ -578,7 +574,12 @@ class ExperimentConfig:
             raise ParameterError("the tail overlay needs overlay_m")
         if "deleted-tail" in names and self.overlay_x is None:
             raise ParameterError("the deleted-tail overlay needs overlay_x")
-        self.resolve_points()  # every sweep value must validate
+        _, params, _ = self.resolve_points()[0]  # every sweep value must validate
+        mu, k = params.type_probs[0], params.type_selections[-1]
+        if self.overlay_m is not None:  # the bounds are the one home of M >= 1 and x >= 1
+            bounds.tail_bound(mu, k, self.overlay_m)
+        if self.overlay_x is not None:  # at d = 0 every x >= 1 clears the threshold
+            bounds.deleted_tail_bound(mu, k, 0, self.overlay_x, self.overlay_eps)
 
     def resolve_points(self):
         """(value, GraphParams, d) for every sweep value, validated."""
@@ -586,29 +587,10 @@ class ExperimentConfig:
         points = []
         for v in self.sweep_values:
             v = _number(v, float if axis == "mu" else int, f"{axis} sweep value")
-            n = v if axis == "n" else self.n
-            d = v if axis == "d" else self.d
-            params = two_type_params(n, v if axis == "mu" else self.mu,
+            params = two_type_params(v if axis == "n" else self.n, v if axis == "mu" else self.mu,
                                      v if axis == "K" else self.k)
-            if not 0 <= d < n:
-                raise ParameterError(f"deletion count d={d} must satisfy 0 <= d < n={n}")
-            points.append((v, params, d))
+            points.append((v, params, _read_d(v if axis == "d" else self.d, params.n)))
         return points
-
-
-def _number(value, kind, what):
-    """value as kind (int or float); a ParameterError names what otherwise.
-
-    A bool is refused: true and false are not counts or probabilities."""
-    try:
-        number = None if isinstance(value, (bool, np.bool_)) else kind(value)
-    except (TypeError, ValueError, OverflowError):
-        number = None
-    if number is None or (kind is int and isinstance(value, (float, np.floating))
-                          and number != value):
-        raise ParameterError(f"{what} must be {'an integer' if kind is int else 'a number'}, "
-                             f"got {value!r}")
-    return number
 
 
 def plausibility_floor(n, mu, k, trials):
@@ -620,6 +602,9 @@ def plausibility_floor(n, mu, k, trials):
     such points.  None also beyond the oracle's n cap, where the union
     bound is not evaluated.
     """
+    n, trials = _ints(n=n, trials=trials)
+    if trials < 1:
+        raise ParameterError("need at least one trial")
     if n > _MAX_CLOSED_FORM_N:
         return None
     ev = union_bound_sum(n, mu, k, 1)
@@ -791,7 +776,7 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     """
     if target.r < 2:
         raise ParameterError("coupling target needs at least two classes")
-    trials, seed = _number(trials, int, "trials"), _number(seed, int, "seed")
+    trials, seed = _ints(trials=trials, seed=seed)
     if trials < 1:
         raise ParameterError("need at least one trial")
     if seed < 0:

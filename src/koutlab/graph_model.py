@@ -13,12 +13,12 @@ from __future__ import annotations
 
 from dataclasses import dataclass, replace
 from functools import cached_property
-from math import isfinite, prod
+from math import inf, isfinite, prod
 
 import numpy as np
 
 from .component_analysis import ComponentReport, connected_components
-from .errors import ParameterError
+from .errors import ParameterError, _number
 
 PROB_TOL = 1e-12
 MIX_TOL = 1e-9  # tolerance when matching a coupling's combined light-class mass
@@ -34,8 +34,8 @@ def as_generator(rng):
 
 def validate_type_distribution(type_probs, type_selections):
     """Validate (mu_1..mu_r, K_1 < ... < K_r) and return them as tuples."""
-    probs = tuple(float(p) for p in type_probs)
-    sels = tuple(int(k) for k in type_selections)
+    probs = tuple(_number(p, float, "type_probs entry") for p in type_probs)
+    sels = tuple(_number(k, int, "type_selections entry") for k in type_selections)
     if len(probs) < 2 or len(probs) != len(sels):
         raise ParameterError(
             "need r >= 2 type probabilities matched with r selection counts"
@@ -65,7 +65,7 @@ class GraphParams:
         probs, sels = validate_type_distribution(self.type_probs, self.type_selections)
         object.__setattr__(self, "type_probs", probs)
         object.__setattr__(self, "type_selections", sels)
-        object.__setattr__(self, "n", int(self.n))
+        object.__setattr__(self, "n", _number(self.n, int, "n"))
         if self.n < 2:
             raise ParameterError("need at least two nodes")
         if sels[-1] >= self.n:
@@ -105,13 +105,37 @@ class GraphParams:
         return sum(p * k for p, k in zip(self.type_probs, self.type_selections))
 
 
+def _read_mu(mu) -> float:
+    """mu read as a number and checked: the one home of 0 < mu < 1."""
+    mu = _number(mu, float, "mu")
+    if not 0.0 < mu < 1.0:
+        raise ParameterError("mu must lie strictly inside (0, 1)")
+    return mu
+
+
+def _read_mu_k(mu, k, n=inf) -> tuple[float, int]:
+    """The two-class ensemble's mu and K, read and checked: the one home
+    of K >= 2 and, for the callers that pass n, of K < n."""
+    mu, k = _read_mu(mu), _number(k, int, "k")
+    if k < 2:
+        raise ParameterError("need K >= 2")
+    if k >= n:
+        raise ParameterError("need K < n")
+    return mu, k
+
+
+def _read_d(d, n) -> int:
+    """A deletion count read and checked: the one home of 0 <= d < n."""
+    d = _number(d, int, "d")
+    if not 0 <= d < n:
+        raise ParameterError(f"need 0 <= d < n, got d={d} and n={n}")
+    return d
+
+
 def two_type_params(n, mu, k) -> GraphParams:
     """The two-class ensemble: probability mu of one pick, else k picks."""
-    if not 0.0 < float(mu) < 1.0:
-        raise ParameterError("mu must lie strictly inside (0, 1)")
-    if int(k) < 2:
-        raise ParameterError("the heavy-class selection count must be at least 2")
-    return GraphParams(n=n, type_probs=(float(mu), 1.0 - float(mu)), type_selections=(1, int(k)))
+    mu, k = _read_mu_k(mu, k)
+    return GraphParams(n=n, type_probs=(mu, 1.0 - mu), type_selections=(1, k))
 
 
 # ---------------------------------------------------------------------------
@@ -195,27 +219,16 @@ class KoutGraph:
 # construction
 
 
-def types_from_uniforms(params: GraphParams, x) -> np.ndarray:
-    """Node types from the type draw's uniforms x (any shape).
-
-    A node's type is the number of inner bin edges (all of cum_probs but
-    the last) at or below its uniform: the index of its bin, with a
-    uniform past a last edge that rounds below 1 kept in the last class.
-    """
-    types = np.zeros(np.shape(x), dtype=np.int64)
-    for edge in params.cum_probs[:-1]:
-        types += x >= edge
-    return types
-
-
 def class_nodes(params: GraphParams, x) -> list[np.ndarray]:
     """The nodes of each class, from the type draw's uniforms x (any shape).
 
-    Entry t lists, in order, the flat indices of x whose type
-    (types_from_uniforms) is t: with x the (B, n) uniforms of B draws,
-    node i of draw b is b*n + i.  A uniform at or above an inner edge is
-    above every earlier one, so class t is the uniforms at or above edge
-    t-1 and not at or above edge t.
+    The one bin rule: a node's type is the number of inner bin edges (all
+    of cum_probs but the last) at or below its uniform, so a uniform past
+    a last edge that rounds below 1 stays in the last class.  Entry t
+    lists, in order, the flat indices of x of type t: with x the (B, n)
+    uniforms of B draws, node i of draw b is b*n + i.  A uniform at or
+    above an inner edge is above every earlier one, so class t is the
+    uniforms at or above edge t-1 and not at or above edge t.
     """
     x = np.ravel(x)
     above = [x >= edge for edge in params.cum_probs[:-1].tolist()]
@@ -286,8 +299,8 @@ def _first_draw(params: GraphParams, rng, spare=None):
     """draw_trial's first calls: the type uniforms and the first integers call.
 
     Returns (x, counts, head, rows, tail).  x = rng.random(n) are the type
-    uniforms and counts the class sizes they give, a tuple (the counts
-    of types_from_uniforms(params, x)).  The call draws the rows of class
+    uniforms and counts the class sizes they give, a tuple (the sizes
+    of class_nodes(params, x)).  The call draws the rows of class
     f, the first class with k >= 2 picks, in one flat array; f is
     params._first_rows, 1 when class 0 makes single picks, and then
     class 0's picks (head) come first in the same call.  spare(counts),
@@ -313,9 +326,9 @@ def draw_trial(params: GraphParams, rng):
     """One graph's randomness, drawn from rng in the order every sampler uses.
 
     Returns (x, blocks).  x = rng.random(n) are the uniforms of the type
-    draw (see types_from_uniforms).  blocks[t] holds the k_t picks of
-    each class-t node, nodes in order, row by row; a pick is raw, in
-    [0, n-1), and node i's pick p is node p + (p >= i).  Each class with
+    draw (see class_nodes).  blocks[t] holds the k_t picks of each
+    class-t node, nodes in order, row by row; a pick is raw, in [0, n-1),
+    and node i's pick p is node p + (p >= i).  Each class with
     k >= 2 picks is drawn and then redrawn until its rows are distinct
     before the next class is drawn.  Selection counts increase, so only
     class 0 can make single picks; they never repeat, so they are drawn
@@ -386,7 +399,10 @@ def union_arcs(params: GraphParams, nodes, blocks, counts=None) -> tuple[np.ndar
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:
     """Draw one graph from the r-class ensemble."""
     x, blocks = draw_trial(params, as_generator(rng))
-    return KoutGraph(params, types_from_uniforms(params, x), tuple(blocks))
+    types = np.empty(params.n, dtype=np.int64)
+    for t, nodes in enumerate(class_nodes(params, x)):
+        types[nodes] = t
+    return KoutGraph(params, types, tuple(blocks))
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):
@@ -394,10 +410,7 @@ def delete_random_nodes(g: KoutGraph, d, rng):
     sorted tuple, the graph with those nodes deleted)."""
     if g.deleted:
         raise ParameterError("the graph already has deleted nodes")
-    d = int(d)
-    if not 0 <= d < g.n:
-        raise ParameterError("deletion count must satisfy 0 <= d < n")
-    nodes = tuple(sorted(draw_deleted(g.n, d, as_generator(rng)).tolist()))
+    nodes = tuple(sorted(draw_deleted(g.n, _read_d(d, g.n), as_generator(rng)).tolist()))
     return nodes, replace(g, deleted=frozenset(nodes))
 
 

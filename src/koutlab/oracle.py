@@ -37,20 +37,20 @@ from math import comb, exp, lgamma
 import numpy as np
 
 from .component_analysis import _reference_sizes
-from .errors import ParameterError
+from .errors import ParameterError, _number
+from .graph_model import _read_d, _read_mu_k
 
 _MAX_ENUM_NODES = 7
 _MAX_CLOSED_FORM_N = 10**6  # where the lgamma error is still ~1e-4 (see above)
 
 
 def _check_common(n, mu, k):
+    """(n, mu, k) read and checked, n within the closed forms' cap."""
+    n = _number(n, int, "n")
     if n > _MAX_CLOSED_FORM_N:
         raise ParameterError(
             f"closed-form oracle queries are limited to n <= {_MAX_CLOSED_FORM_N}")
-    if not 0.0 < mu < 1.0:
-        raise ParameterError("mu must lie strictly inside (0, 1)")
-    if not 2 <= k < n:
-        raise ParameterError("need 2 <= K < n")
+    return (n, *_read_mu_k(mu, k, n))
 
 
 def _check_mode(mode):
@@ -148,8 +148,8 @@ def exact_cut_probability(n, mu, k, r, mode="log") -> float:
     subset (pool n-r-1) and each of the r inside nodes entirely inside
     (pool r-1); independence across nodes gives a product of powers.
     """
-    n, k, r = int(n), int(k), int(r)
-    _check_common(n, mu, k)
+    n, mu, k = _check_common(n, mu, k)
+    r = _number(r, int, "r")
     if not 1 <= r <= n - 1:
         raise ParameterError("need 1 <= r <= n-1")
     return _cut_probability(n, mu, k, 0, r, mode)
@@ -163,10 +163,8 @@ def exact_cut_probability_deleted(n, mu, k, d, r, mode="log") -> float:
     nodes may select the subset or the deleted pool (r+d-1 candidates);
     the n-d-r surviving outside nodes must avoid the subset entirely.
     """
-    n, k, d, r = int(n), int(k), int(d), int(r)
-    _check_common(n, mu, k)
-    if d < 0:
-        raise ParameterError("deletion count must be nonnegative")
+    n, mu, k = _check_common(n, mu, k)
+    d, r = _read_d(d, n), _number(r, int, "r")
     if not 1 <= r <= n - d - 1:
         raise ParameterError("need 1 <= r <= n-d-1")
     return _cut_probability(n, mu, k, d, r, mode)
@@ -199,8 +197,8 @@ def union_bound_sum(n, mu, k, m, mode="log") -> BoundEvaluation:
     exists, hence (for M <= n/3) that more than M nodes lie outside the
     largest component.
     """
-    n, k, m = int(n), int(k), int(m)
-    _check_common(n, mu, k)
+    n, mu, k = _check_common(n, mu, k)
+    m = _number(m, int, "m")
     if not 1 <= m <= n // 2:
         raise ParameterError("need 1 <= M <= floor(n/2)")
     return _bound_sum(n, mu, k, d=0, lo=m, mode=mode)
@@ -209,10 +207,8 @@ def union_bound_sum(n, mu, k, m, mode="log") -> BoundEvaluation:
 def union_bound_sum_deleted(n, mu, k, d, x, mode="log") -> BoundEvaluation:
     """Deleted-graph version: sum over r in [x, (n-d)/2] of
     C(n-d,r) * P[an r-subset of the survivors is a cut]."""
-    n, k, d, x = int(n), int(k), int(d), int(x)
-    _check_common(n, mu, k)
-    if d < 0 or d >= n:
-        raise ParameterError("need 0 <= d < n")
+    n, mu, k = _check_common(n, mu, k)
+    d, x = _read_d(d, n), _number(x, int, "x")
     if not 1 <= x <= (n - d) // 2:
         raise ParameterError("need 1 <= x <= floor((n-d)/2)")
     return _bound_sum(n, mu, k, d=d, lo=x, mode=mode)
@@ -388,12 +384,11 @@ def exhaustive_event_probability(n, mu, k, d, predicate) -> float:
     Exact integer counts and rational weights keep the result accurate
     to float64 rounding.  Refuses n > 7: the state space is the budget.
     """
-    n, k, d = int(n), int(k), int(d)
+    n = _number(n, int, "n")
     if n > _MAX_ENUM_NODES:
         raise ParameterError(f"exhaustive enumeration is limited to n <= {_MAX_ENUM_NODES}")
-    _check_common(n, mu, k)
-    if not 0 <= d < n:
-        raise ParameterError("need 0 <= d < n")
+    n, mu, k = _check_common(n, mu, k)
+    d = _read_d(d, n)
 
     counts, sigs = _signature_table(n, k)
     weights = _type_count_weights(n, k, mu)

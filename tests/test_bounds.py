@@ -144,6 +144,28 @@ def test_deleted_tail_bounds_reject_non_finite_eps(eps):
         deleted_tail_bound_alt(0.5, 2, 50, eps=eps)
 
 
+_COUNT_AND_REAL_ARGUMENTS = [
+    (mean_selections, (0.5, 2), ["mu", "k"]),
+    (tail_bound, (0.5, 2, 3), ["mu", "k", "m"]),
+    (deleted_tail_bound, (0.5, 2, 2, 50, 1.0), ["mu", "k", "d", "x", "eps"]),
+    (deleted_tail_bound_alt, (0.5, 2, 50, 1.0), ["mu", "d", "x", "eps"]),
+    (r_class_tail_bound, ((0.5, 0.5), (1, 2), 7), [None, None, "m"]),
+    (heuristic_giant_lower_bound, (1000, 0.9, 2, 20), ["n", "mu", "k", "d"]),
+    (er_giant_fraction, (2.2,), ["c"]),
+    (mean_degree, (2000, 0.9, 2), ["n", "mu", "k"]),
+]
+
+
+@pytest.mark.parametrize("fn, args, names", _COUNT_AND_REAL_ARGUMENTS,
+                         ids=[fn.__name__ for fn, _, _ in _COUNT_AND_REAL_ARGUMENTS])
+def test_bounds_reject_non_numbers_by_name(reads_numbers, fn, args, names):
+    # 2.5 for a count, True and "x" anywhere are refused by the argument's
+    # name; 2.0 and np.int64 counts and np.float64 reals give the same bound
+    for index, name in enumerate(names):
+        if name is not None:
+            reads_numbers(fn, args, index, name, name not in ("mu", "eps", "c"))
+
+
 def test_mean_degree_formula():
     got = mean_degree(2000, 0.9, 2)
     want = 2 * 1.1 - 1.1 ** 2 / 1999

@@ -250,6 +250,12 @@ def test_is_cut_on_hand_graph():
 
 def test_is_cut_validates_subset():
     g = HandGraph(4, [(0, 1), (2, 3)])
+    # members are read by the shared reader: named, never truncated
+    for bad in (0.5, 2.5, True, "x"):
+        with pytest.raises(ParameterError, match="^subset member must be an integer"):
+            is_cut(g, [0, bad])
+    for member in (1.0, np.int64(1)):
+        assert is_cut(g, [0, member]) is is_cut(g, [0, 1]) is True
     with pytest.raises(ParameterError):
         is_cut(g, set())
     with pytest.raises(ParameterError):
@@ -299,7 +305,7 @@ def test_whole_components_are_cuts_and_pieces_are_not():
         sorted((len(c) for c in groups.values()), reverse=True))
 
 
-def test_has_cut_in_range_on_known_sizes():
+def test_has_cut_in_range_on_known_sizes(reads_numbers):
     g = HandGraph(6, [(1, 2), (3, 4), (4, 5)])  # sizes 3, 2, 1
     assert has_cut_in_range(g, 4, 5)            # 3 + 2 = 5, 3 + 1 = 4
     assert has_cut_in_range(g, 1, 1)
@@ -313,6 +319,8 @@ def test_has_cut_in_range_on_known_sizes():
         has_cut_in_range(g, 3, 2)
     with pytest.raises(ParameterError):
         has_cut_in_range(g, 1, 7)
+    reads_numbers(has_cut_in_range, (g, 2, 3), 1, "lo")
+    reads_numbers(has_cut_in_range, (g, 2, 3), 2, "hi")
 
 
 def _brute_force_has_cut(g, lo, hi):
@@ -342,7 +350,7 @@ def test_has_cut_in_range_matches_brute_force_enumeration():
         assert has_cut_in_range(view, lo, hi) == _brute_force_has_cut(view, lo, hi)
 
 
-def test_cut_range_implication_cases():
+def test_cut_range_implication_cases(reads_numbers):
     connected = HandGraph(9, [(i, i + 1) for i in range(8)]).components.component_sizes
     rec = cut_range_implication(connected, 3)
     assert rec.no_mid_cut and rec.giant_exceeds and rec.holds
@@ -363,6 +371,8 @@ def test_cut_range_implication_cases():
         cut_range_implication(connected, 4)  # x above floor(n/3)
     with pytest.raises(ParameterError):
         cut_range_implication(connected, 0)
+    reads_numbers(cut_range_implication, ([25, 5], 4), 1, "x")
+    reads_numbers(lambda size, x: cut_range_implication([25, size], x), (5, 4), 0, "sizes entry")
 
 
 def test_cut_range_implication_never_fails_on_random_graphs():

@@ -14,12 +14,16 @@ from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
                                  run_sweep, trial_keys, trial_stream)
-from koutlab.graph_model import (GraphParams, construct_r_type, couple_extend,
+from koutlab.graph_model import (GraphParams, class_nodes, construct_r_type, couple_extend,
                                  delete_random_nodes, draw_deleted, draw_trial,
-                                 two_type_params, types_from_uniforms)
+                                 two_type_params)
 
 
-def test_trial_streams_are_reproducible_and_independent():
+def _same_stream(a, b):
+    return np.array_equal(a.integers(0, 1 << 30, size=8), b.integers(0, 1 << 30, size=8))
+
+
+def test_trial_streams_are_reproducible_and_independent(reads_numbers):
     a = trial_stream(99, 0, 0).integers(0, 1 << 30, size=8)
     b = trial_stream(99, 0, 0).integers(0, 1 << 30, size=8)
     c = trial_stream(99, 0, 1).integers(0, 1 << 30, size=8)
@@ -27,9 +31,11 @@ def test_trial_streams_are_reproducible_and_independent():
     assert np.array_equal(a, b)
     assert not np.array_equal(a, c)
     assert not np.array_equal(a, d)
+    for index, name in enumerate(["master_seed", "point_index", "trial_index"]):
+        reads_numbers(trial_stream, (99, 1, 5), index, name, same=_same_stream)
 
 
-def test_resolve_workers_precedence(monkeypatch):
+def test_resolve_workers_precedence(monkeypatch, reads_numbers):
     monkeypatch.delenv("KOUTLAB_THREADS", raising=False)
     assert resolve_workers() == 1
     monkeypatch.setenv("KOUTLAB_THREADS", "3")
@@ -40,6 +46,8 @@ def test_resolve_workers_precedence(monkeypatch):
         resolve_workers()
     monkeypatch.setenv("KOUTLAB_THREADS", "")
     assert resolve_workers() == 1
+    reads_numbers(resolve_workers, (3,), 0, "workers")
+    assert resolve_workers(-2) == 1  # clamped to one worker
 
 
 def test_collect_cmax_is_schedule_independent():
@@ -186,15 +194,17 @@ _RUNS_OUT = {(_K5_AT_6, 0): 5}
 
 
 def _per_trial_draws(params, d, lo, hi):
-    # draw_trial and draw_deleted on trial_stream: the reference draw
-    types, blocks, dead = [], [], []
-    for t in range(lo, hi):
+    # draw_trial and draw_deleted on trial_stream: the reference draw, with
+    # each trial's class nodes (class_nodes) moved to b*n for its place b
+    nodes, blocks, dead = [], [], []
+    for b, t in enumerate(range(lo, hi)):
         stream = trial_stream(31, 2, t)
         x, picks = draw_trial(params, stream)
-        types.append(types_from_uniforms(params, x))
+        nodes.append([c + b * params.n for c in class_nodes(params, x)])
         blocks.append(picks)
         dead.append(draw_deleted(params.n, d, stream) if d else np.empty(0, dtype=np.int64))
-    return np.stack(types), [np.concatenate(c) for c in zip(*blocks)], np.stack(dead)
+    return ([np.concatenate(c) for c in zip(*nodes)], [np.concatenate(c) for c in zip(*blocks)],
+            np.stack(dead))
 
 
 # later classes so rare that about a quarter of the 136-trial batches
@@ -226,16 +236,15 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
         why.append("lone" if len(keys) == 1 else "deleting" if d else None)
         nodes, blocks, counts, dead = experiments._batch_draw(params, d, rng, keys)
-        want_types, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
+        want_nodes, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
         assert len(nodes) == params.r
-        assert all(np.array_equal(nodes[t], np.flatnonzero(want_types == t))
-                   for t in range(params.r))
+        assert all(np.array_equal(a, b) for a, b in zip(nodes, want_nodes, strict=True))
         assert len(blocks) == params.r
         assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks))
         assert dead.shape == (len(keys), d) and np.array_equal(dead, want_dead)
         if len(keys) > 1:
-            assert np.array_equal(counts, [[np.count_nonzero(row == t) for t in range(params.r)]
-                                           for row in want_types])
+            assert np.array_equal(counts, np.stack([np.bincount(c // params.n, minlength=len(keys))
+                                                    for c in want_nodes], axis=1))
         lo += len(keys)
     # lone trials and batches with d > 0 are drawn trial by trial, and so
     # are the trials of a shared batch whose spare block ran out (4 sigma
@@ -254,10 +263,9 @@ def test_lone_trials_keep_to_draw_trial(monkeypatch):
     params = two_type_params(40, 0.5, 12)
     rng = np.random.Generator(np.random.Philox(0))
     nodes, blocks, counts, dead = experiments._batch_draw(params, 3, rng, trial_keys(31, 2, 7, 8))
-    want_types, want_blocks, want_dead = _per_trial_draws(params, 3, 7, 8)
+    want_nodes, want_blocks, want_dead = _per_trial_draws(params, 3, 7, 8)
     assert counts is None and np.array_equal(dead, want_dead)
-    assert len(nodes) == params.r
-    assert all(np.array_equal(a, np.flatnonzero(want_types == t)) for t, a in enumerate(nodes))
+    assert all(np.array_equal(a, b) for a, b in zip(nodes, want_nodes, strict=True))
     assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks, strict=True))
 
 
@@ -280,10 +288,12 @@ def test_trial_keys_match_seed_sequence(seed, point):
         assert np.array_equal(got, np.array(want))
 
 
-def test_trial_keys_reject_out_of_range_coordinates():
+def test_trial_keys_reject_out_of_range_coordinates(reads_numbers):
     for args in ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 0, 2**32 + 1), (0, 0, -1, 1)):
         with pytest.raises(ParameterError):
             trial_keys(*args)
+    for index, name in enumerate(["master_seed", "point_index", "lo", "hi"]):
+        reads_numbers(trial_keys, (7, 1, 5, 9), index, name)
 
 
 def _draws(rng):
@@ -414,6 +424,12 @@ def test_collect_cmax_validates_inputs():
     for args, name in [((2.5, 1), "trials"), ((True, 1), "trials"), ((3, 1.5), "seed")]:
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             coupling_experiment(target, *args)
+    for workers in (2.5, True, "x"):
+        with pytest.raises(ParameterError, match="^workers must be an integer"):
+            collect_cmax(params, 0, 10, 1, workers=workers)
+    want = collect_cmax(params, 0, 300, 1, workers=1)
+    for workers in (1.0, np.int64(1), 2.0, np.int64(2)):
+        assert np.array_equal(collect_cmax(params, 0, 300, 1, workers=workers), want)
 
 
 def test_run_point_aggregates_match_trial_data():
@@ -458,6 +474,17 @@ def test_experiment_config_validation():
     with pytest.raises(ParameterError):
         ExperimentConfig(sweep_param="mu", sweep_values=(0.5,), n=10, k=2,
                          overlays=("tail",))  # overlay_m missing
+    # an overlay start below 1 is refused by the bound's own rule before any trial runs
+    overlays = dict(overlays=("tail", "deleted-tail"), overlay_m=2, overlay_x=30)
+    for bad, rule in ((dict(overlay_m=0), "M >= 1"), (dict(overlay_m=-3), "M >= 1"),
+                      (dict(overlay_x=0), "x >= 1"), (dict(overlay_x=-1), "x >= 1")):
+        with pytest.raises(ParameterError, match=rule):
+            ExperimentConfig(sweep_param="d", sweep_values=(0, 5), n=10, mu=0.5, k=2,
+                             **(overlays | bad))
+    # x = 1 misses d = 5's threshold, which the point's JSON notes instead
+    conf = ExperimentConfig(sweep_param="d", sweep_values=(0, 5), n=10, mu=0.5, k=2,
+                            **(overlays | dict(overlay_x=1)))
+    assert conf.overlay_x == 1
     conf = ExperimentConfig(sweep_param="mu", sweep_values=[0.3, 0.6], n=10,
                             k=2, overlays=["t1"], overlay_m=2)
     assert conf.overlays == ("tail",)
@@ -586,6 +613,14 @@ def test_plausibility_floor_behaviour():
     # more trials demand a rarer excursion, so the floor can only move out
     assert plausibility_floor(1000, 0.9, 2, 100_000) >= m
     assert plausibility_floor(40, 0.5, 2, 10_000) is not None
+
+
+def test_plausibility_floor_refuses_bad_trial_counts(reads_numbers):
+    for trials in (0, -5):
+        with pytest.raises(ParameterError, match="^need at least one trial"):
+            plausibility_floor(30, 0.5, 2, trials)
+    reads_numbers(plausibility_floor, (30, 0.5, 2, 2000), 3, "trials")
+    reads_numbers(plausibility_floor, (30, 0.5, 2, 2000), 0, "n")
 
 
 def test_plausibility_floor_pinned_values():

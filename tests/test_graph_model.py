@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from koutlab import ParameterError
-from koutlab.graph_model import (GraphParams, construct_r_type, couple_extend,
-                                 delete_random_nodes, draw_trial, two_type_params,
-                                 types_from_uniforms, union_arcs)
+from koutlab.graph_model import (GraphParams, class_nodes, construct_r_type, couple_extend,
+                                 delete_random_nodes, draw_trial, two_type_params, union_arcs,
+                                 validate_type_distribution)
 
 
 def selections(g):
@@ -17,7 +17,7 @@ def selections(g):
     return np.split(dst[order], np.cumsum(np.bincount(src, minlength=g.n))[:-1])
 
 
-def test_params_validation_rejects_bad_inputs():
+def test_params_validation_rejects_bad_inputs(reads_numbers):
     with pytest.raises(ParameterError):
         two_type_params(1, 0.5, 2)  # too few nodes
     with pytest.raises(ParameterError):
@@ -36,6 +36,13 @@ def test_params_validation_rejects_bad_inputs():
         GraphParams(n=10, type_probs=(0.6, 0.5), type_selections=(1, 2))
     with pytest.raises(ParameterError):
         GraphParams(n=10, type_probs=(1.0,), type_selections=(2,))
+    for index, name in enumerate(["n", "mu", "k"]):
+        reads_numbers(two_type_params, (10, 0.5, 2), index, name, name != "mu")
+    reads_numbers(GraphParams, (10, (0.5, 0.5), (1, 2)), 0, "n")
+    reads_numbers(lambda p: validate_type_distribution((0.5, p), (1, 2)), (0.5,), 0,
+                  "type_probs entry", False)
+    reads_numbers(lambda k: validate_type_distribution((0.5, 0.5), (1, k)), (2,), 0,
+                  "type_selections entry")
 
 
 @pytest.mark.parametrize("probs", [(math.nan, 0.5), (0.5, math.nan),
@@ -110,19 +117,27 @@ def test_three_nodes_with_k_two_is_always_connected():
 
 def test_type_assignment_frequency():
     params = two_type_params(100_000, 0.9, 2)
-    types = types_from_uniforms(params, np.random.default_rng(11).random(params.n))
-    frac_light = float((types == 0).mean())
+    light = class_nodes(params, np.random.default_rng(11).random(params.n))[0]
+    frac_light = light.size / params.n
     assert abs(frac_light - 0.9) < 0.005
 
 
-def test_types_from_uniforms_is_the_clipped_bin_search():
+def test_class_nodes_is_the_clipped_bin_search():
     params = GraphParams(n=5, type_probs=(0.1, 0.2, 0.3, 0.4), type_selections=(1, 2, 3, 4))
     cum = params.cum_probs
     x = np.concatenate([np.random.default_rng(4).random(2000), cum, np.nextafter(cum, 0),
                         [0.0, np.nextafter(1.0, 0)]])
     want = np.minimum(np.searchsorted(cum, x, side="right"), params.r - 1)
-    assert np.array_equal(types_from_uniforms(params, x), want)
-    assert np.array_equal(types_from_uniforms(params, x.reshape(2, -1)), want.reshape(2, -1))
+    for got in (class_nodes(params, x), class_nodes(params, x.reshape(2, -1))):
+        assert len(got) == params.r
+        assert all(np.array_equal(got[t], np.flatnonzero(want == t)) for t in range(params.r))
+    # construct_r_type's node types are the same bins of its draw's uniforms
+    for seed in range(20):
+        x, _ = draw_trial(params, np.random.default_rng(seed))
+        types = construct_r_type(params, np.random.default_rng(seed)).node_types
+        assert types.dtype == np.int64
+        assert np.array_equal(types, np.minimum(np.searchsorted(cum, x, side="right"),
+                                                params.r - 1))
 
 
 def _class_by_class(params, rng):
@@ -191,10 +206,9 @@ def test_fixed_pair_adjacency_probability():
     n, trials = params.n, 100_000
     rng = np.random.default_rng(5)
     xs, blocks = zip(*(draw_trial(params, rng) for _ in range(trials)))
-    types = types_from_uniforms(params, np.stack(xs))
-    u, v = union_arcs(params, [np.flatnonzero(types == t) for t in range(params.r)],
-                      [np.concatenate(c) for c in zip(*blocks)],
-                      np.stack([(types == t).sum(axis=1) for t in range(params.r)], axis=1))
+    nodes = class_nodes(params, np.stack(xs))
+    u, v = union_arcs(params, nodes, [np.concatenate(c) for c in zip(*blocks)],
+                      np.stack([np.bincount(c // n, minlength=trials) for c in nodes], axis=1))
     pair = u % n + v % n == 1  # an arc 0->1 or 1->0 within its draw
     hits = np.unique(u[pair] // n).size
     sigma = math.sqrt(p * (1 - p) / trials)
@@ -220,7 +234,7 @@ def test_deletion_leaves_single_survivor_at_maximum_d():
     assert len(nodes) == 11
 
 
-def test_deletion_validates_range_and_keeps_base_intact():
+def test_deletion_validates_range_and_keeps_base_intact(reads_numbers):
     g = construct_r_type(two_type_params(10, 0.5, 2), np.random.default_rng(6))
     before = g.edge_count
     with pytest.raises(ParameterError):
@@ -239,6 +253,8 @@ def test_deletion_validates_range_and_keeps_base_intact():
     assert all(u in surv and v in surv for u, v in zip(eu.tolist(), ev.tolist()))
     with pytest.raises(ParameterError, match="already has deleted nodes"):
         delete_random_nodes(view, 1, np.random.default_rng(1))
+    reads_numbers(delete_random_nodes, (g, 4, 0), 1, "d",
+                  same=lambda a, b: a[0] == b[0] and a[1].deleted == b[1].deleted)
 
 
 def test_coupling_output_contains_base_edges():

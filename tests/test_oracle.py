@@ -309,7 +309,7 @@ def test_deleted_cut_probability_nondecreasing_in_d():
         assert all(a <= b for a, b in zip(vals, vals[1:]))
 
 
-def test_cut_probability_validates_range():
+def test_cut_probability_validates_range(reads_numbers):
     with pytest.raises(ParameterError):
         exact_cut_probability(10, 0.5, 2, 0)
     with pytest.raises(ParameterError):
@@ -322,6 +322,11 @@ def test_cut_probability_validates_range():
         exact_cut_probability_deleted(10, 0.5, 2, 3, 7)  # r > n-d-1
     with pytest.raises(ParameterError):
         exact_cut_probability_deleted(10, 0.5, 2, -1, 2)
+    for index, name in enumerate(["n", "mu", "k", "r"]):
+        reads_numbers(exact_cut_probability, (30, 0.5, 2, 3), index, name, name != "mu")
+    for index, name in enumerate(["n", "mu", "k", "d", "r"]):
+        reads_numbers(exact_cut_probability_deleted, (30, 0.5, 2, 3, 5), index, name,
+                      name != "mu")
 
 
 def test_union_bound_frozen_values():
@@ -436,7 +441,12 @@ def test_direct_mode_refuses_binomials_beyond_float64():
         union_bound_sum_deleted(3000, 0.5, 2, 20, 1, mode="direct")
 
 
-def test_union_bound_validates_limits():
+def _same_sum(a, b):
+    return (a.raw_sum == b.raw_sum and a.terms.tobytes() == b.terms.tobytes()
+            and type(a.r_start) is type(b.r_start) is int and a.r_start == b.r_start)
+
+
+def test_union_bound_validates_limits(reads_numbers):
     with pytest.raises(ParameterError):
         union_bound_sum(30, 0.5, 2, 0)
     with pytest.raises(ParameterError):
@@ -445,6 +455,11 @@ def test_union_bound_validates_limits():
         union_bound_sum_deleted(30, 0.5, 2, 4, 14)  # x > (n-d)/2
     with pytest.raises(ParameterError):
         union_bound_sum(30, 0.5, 2, 3, mode="fancy")
+    for index, name in enumerate(["n", "mu", "k", "m"]):
+        reads_numbers(union_bound_sum, (30, 0.5, 2, 2), index, name, name != "mu", _same_sum)
+    for index, name in enumerate(["n", "mu", "k", "d", "x"]):
+        reads_numbers(union_bound_sum_deleted, (30, 0.5, 2, 3, 3), index, name, name != "mu",
+                      _same_sum)
 
 
 def test_log_domain_survives_huge_n():
@@ -468,9 +483,13 @@ def test_enumeration_connected_probability_forced_case():
     assert p == pytest.approx(1.0, abs=1e-15)
 
 
-def test_enumeration_refuses_large_n():
+def test_enumeration_refuses_large_n(reads_numbers):
     with pytest.raises(ParameterError):
         exhaustive_event_probability(8, 0.5, 2, 0, lambda g: True)
+    for index, name in enumerate(["n", "mu", "k", "d"]):
+        reads_numbers(exhaustive_event_probability,
+                      (4, 0.5, 2, 1, lambda g: not (g.deleted & {0, 1}) and g.is_cut({0, 1})),
+                      index, name, name != "mu")
 
 
 def test_enumeration_probabilities_are_normalized():
