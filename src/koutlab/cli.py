@@ -26,8 +26,9 @@ import numpy as np
 from . import __version__, bounds, oracle
 from .bounds import _KIND_ALIASES
 from .component_analysis import connected_components
-from .errors import ParameterError
-from .experiments import ExperimentConfig, render_csv, render_json, run_sweep
+from .errors import ParameterError, _seeds
+from .experiments import (ExperimentConfig, _num_text, _staged, render_csv, render_json,
+                          run_sweep)
 from .graph_model import GraphParams, construct_r_type, delete_random_nodes, two_type_params
 
 # a config file sets ExperimentConfig's fields, plus the stdout format
@@ -95,11 +96,7 @@ def _sweep_value(token):
 
 def _resolve_seed(seed):
     # a missing seed is drawn once and echoed so the run stays reproducible
-    if seed is None:
-        return secrets.randbits(63)
-    if not isinstance(seed, int) or isinstance(seed, bool) or seed < 0:
-        raise ParameterError(f"seed must be a non-negative integer, got {seed!r}")
-    return seed
+    return secrets.randbits(63) if seed is None else _seeds(seed=seed)[0]
 
 
 def _graph_params(args) -> GraphParams:
@@ -141,8 +138,8 @@ def _emit(text, out_path):
     if out_path is None:
         _write_stdout(text)
     else:
-        with open(out_path, "w", encoding="utf-8") as fh:
-            fh.write(text)
+        with _staged([out_path]) as texts:
+            texts.append(text)
 
 
 # ---------------------------------------------------------------------------
@@ -187,23 +184,16 @@ def cmd_sample(args) -> int:
 
 def cmd_sweep(args) -> int:
     conf = load_config_file(args.config) if args.config else {}
-    overrides = {
-        "sweep_param": args.sweep_param, "n": args.n, "mu": args.mu, "k": args.k,
-        "d": args.d, "trials": args.trials, "seed": args.seed, "out": args.out,
-        "format": args.format,
-    }
     if args.sweep_values is not None:
-        overrides["sweep_values"] = _vec(args.sweep_values, _sweep_value, "--sweep-values")
-    for key, value in overrides.items():
-        if value is not None:
-            conf[key] = value
+        args.sweep_values = _vec(args.sweep_values, _sweep_value, "--sweep-values")
+    # each flag given overrides its config key
+    conf |= {key: value for key, value in vars(args).items()
+             if key in _CONFIG_KEYS and value is not None}
     fmt = conf.pop("format", "csv")
     if fmt not in ("csv", "json"):
         raise ParameterError("format must be csv or json")
     if "sweep_param" not in conf or "sweep_values" not in conf:
         raise ParameterError("a sweep needs sweep_param and sweep_values (config file or flags)")
-    conf.setdefault("mu", 0.5)
-    conf.setdefault("k", 2)
     if conf["sweep_param"] != "n" and "n" not in conf:
         raise ParameterError(f"a sweep over {conf['sweep_param']} needs --n")
     conf["seed"] = _resolve_seed(conf.get("seed"))
@@ -221,10 +211,6 @@ def cmd_sweep(args) -> int:
     return 0
 
 
-def _num(v):
-    return repr(v) if isinstance(v, float) else str(v)
-
-
 def _finite_or_none(v):
     return v if math.isfinite(v) else None
 
@@ -234,8 +220,8 @@ def _tail_table(label, bound):
     def evaluate(kind, a):
         rows = [(start, bound(a, start)) for start in getattr(a, label.lower())]
         first = rows[0][1]
-        lines = [f"kind={kind} " + " ".join(
-            f"{key}={_num(val)}" for key, val in first.inputs.items() if key not in ("M", "x"))]
+        lines = [f"kind={kind} " + " ".join(f"{key}={_num_text(val)}" for key, val in
+                                             first.inputs.items() if key not in ("M", "x"))]
         lines += [f"{label}={start}  value={b.value!r}" for start, b in rows]
         lines.append("notes: " + "; ".join(first.regime_notes))
         payload = {
@@ -252,7 +238,7 @@ def _tail_table(label, bound):
 def _er(kind, a):
     beta = bounds.er_giant_fraction(a.c)
     # unlike the other kinds, er's JSON keys print in insertion order
-    return (f"er giant-component fraction: c={_num(a.c)} beta={beta:.10f}",
+    return (f"er giant-component fraction: c={_num_text(a.c)} beta={beta:.10f}",
             json.dumps({"kind": kind, "c": a.c, "beta": beta}))
 
 
@@ -312,7 +298,7 @@ def cmd_oracle(args) -> int:
     if len(chosen) != 1:
         raise ParameterError("give exactly one of --r (cut probability), "
                              "--m (union bound), --x (deleted union bound)")
-    model = f"n={args.n} mu={_num(args.mu)} K={args.k}"
+    model = f"n={args.n} mu={_num_text(args.mu)} K={args.k}"
     payload = {"n": args.n, "mu": args.mu, "K": args.k, "d": args.d, "mode": args.mode}
     if args.r is not None:
         if args.d:

@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ParameterError, _ints, _number
+from .errors import ParameterError, _ints, _items, _number
 
 
 @dataclass(frozen=True)
@@ -138,7 +138,7 @@ def connected_components_bfs(g) -> ComponentReport:
 
 def is_cut(g, subset) -> bool:
     """True iff no edge joins the subset to the rest of the surviving nodes."""
-    s = {_number(x, int, "subset member") for x in subset}
+    s = {_number(x, int, "subset member") for x in _items(subset, "cut subset")}
     if not s:
         raise ParameterError("cut subset must be nonempty")
     surv = g.surviving()
@@ -199,7 +199,7 @@ def cut_range_implication(sizes, x) -> CutRangeImplication:
     implication is the meaningful one.
     """
     x = _number(x, int, "x")
-    sizes = [_number(s, int, "sizes entry") for s in sizes if s]
+    sizes = [_number(s, int, "sizes entry") for s in _items(sizes, "sizes") if s]
     n_eff = sum(sizes)
     if not 1 <= x <= n_eff // 3:
         raise ParameterError("need 1 <= x <= floor(surviving node count / 3)")

@@ -1,4 +1,4 @@
-"""Shared exception types, and the one reader of the numbers a caller passes in."""
+"""Shared exception types, and the one reader of each kind of input a caller passes in."""
 
 import numpy as np
 
@@ -27,3 +27,31 @@ def _number(value, kind, what):
 def _ints(**named):
     """Each keyword's value read as an int (_number), in order."""
     return [_number(value, int, name) for name, value in named.items()]
+
+
+def _seeds(**named):
+    """Each keyword's value read as a seed or stream coordinate: the one home of >= 0."""
+    values = _ints(**named)
+    for name, value in zip(named, values):
+        if value < 0:
+            raise ParameterError(f"{name} must be a non-negative integer, got {value}")
+    return values
+
+
+def _trial_count(trials):
+    """A trial count read and checked: the one home of 1 <= trials <= 2**32."""
+    trials = _number(trials, int, "trials")
+    if not 1 <= trials <= 1 << 32:
+        raise ParameterError(f"trials must be between 1 and 2**32, got {trials}")
+    return trials
+
+
+def _items(value, what):
+    """value's items as a tuple; a ParameterError names what if value is a str or bytes
+    (one value, not a list) or is not iterable."""
+    if not isinstance(value, (str, bytes)):
+        try:
+            return tuple(value)
+        except TypeError:
+            pass
+    raise ParameterError(f"{what} must be a list, got {value!r}")

@@ -11,6 +11,7 @@ memory only and are never written to the emitted files.
 
 from __future__ import annotations
 
+import errno
 import json
 import math
 import os
@@ -25,7 +26,7 @@ from pathlib import Path
 import numpy as np
 
 from .component_analysis import component_labels
-from .errors import ParameterError, _ints, _number
+from .errors import ParameterError, _ints, _items, _number, _seeds, _trial_count
 from .graph_model import (GraphParams, _distinct_columns, _first_draw, _read_d,
                           _redraw_repeats, _rows_with_repeats, class_nodes, construct_r_type,
                           couple_extend, draw_deleted, draw_trial, two_type_params, union_arcs)
@@ -55,7 +56,7 @@ def trial_stream(master_seed, point_index, trial_index) -> np.random.Generator:
     Counter-based (Philox) and keyed by the full coordinate tuple, so
     any single trial can be reproduced in isolation.
     """
-    ss = np.random.SeedSequence(entropy=tuple(_ints(
+    ss = np.random.SeedSequence(entropy=tuple(_seeds(
         master_seed=master_seed, point_index=point_index, trial_index=trial_index)))
     return np.random.Generator(np.random.Philox(ss))
 
@@ -89,10 +90,8 @@ def trial_keys(master_seed, point_index, lo, hi) -> np.ndarray:
     are shared, and t is the last word, a uint32 array.  Each step works
     on Python ints and uint32 arrays alike, masked to 32 bits.
     """
-    master_seed, point_index, lo, hi = _ints(master_seed=master_seed, point_index=point_index,
-                                             lo=lo, hi=hi)
-    if master_seed < 0 or point_index < 0:
-        raise ParameterError("seeds and point indices must be non-negative")
+    master_seed, point_index = _seeds(master_seed=master_seed, point_index=point_index)
+    lo, hi = _ints(lo=lo, hi=hi)
     if not 0 <= lo <= hi <= 1 << 32:
         raise ParameterError("trial indices must lie in [0, 2**32)")
     entropy = _words(master_seed) + _words(point_index) + [np.arange(lo, hi, dtype=np.uint32)]
@@ -453,13 +452,8 @@ def _pool_size(workers, tasks) -> int:
 def collect_cmax(params, d, trials, seed, point_index=0, workers=None) -> np.ndarray:
     """Largest-component size of every trial, in trial order."""
     d = _read_d(d, params.n)
-    trials, seed, point_index = _ints(trials=trials, seed=seed, point_index=point_index)
-    if not 1 <= trials <= 1 << 32:
-        raise ParameterError("need between 1 and 2**32 trials")
-    if seed < 0:
-        raise ParameterError("seed must be a non-negative integer")
-    if point_index < 0:
-        raise ParameterError("point_index must be a non-negative integer")
+    trials = _trial_count(trials)
+    seed, point_index = _seeds(seed=seed, point_index=point_index)
     workers = _pool_size(resolve_workers(workers), trials)
     size = max(256, -(-trials // (workers * 4)))
     tasks = [
@@ -526,8 +520,8 @@ class ExperimentConfig:
     sweep_param: str
     sweep_values: tuple
     n: int = 0
-    mu: float = 0.0
-    k: int = 0
+    mu: float = 0.5
+    k: int = 2
     d: int = 0
     trials: int = 10_000
     seed: int = 0
@@ -540,32 +534,25 @@ class ExperimentConfig:
     def __post_init__(self):
         if self.sweep_param not in _SWEEP_AXES:
             raise ParameterError(f"sweep_param must be one of {_SWEEP_AXES}")
-        values = self.sweep_values
-        if isinstance(values, (str, bytes)) or not hasattr(values, "__iter__"):
-            raise ParameterError(f"sweep_values must be a list of values, got {values!r}")
-        values = tuple(values)
+        values = _items(self.sweep_values, "sweep_values")
         if not values:
             raise ParameterError("sweep needs at least one value")
         object.__setattr__(self, "sweep_values", values)
-        fields = [("n", int), ("k", int), ("d", int), ("trials", int), ("seed", int),
-                  ("mu", float), ("overlay_eps", float)]
+        fields = [("n", int), ("k", int), ("d", int), ("mu", float), ("overlay_eps", float)]
         fields += [(name, int) for name in ("overlay_m", "overlay_x")
                    if getattr(self, name) is not None]
         for name, kind in fields:
             object.__setattr__(self, name, _number(getattr(self, name), kind, name))
-        if self.trials < 1:
-            raise ParameterError("need at least one trial per point")
-        if self.seed < 0:
-            raise ParameterError("seed must be a non-negative integer")
+        object.__setattr__(self, "trials", _trial_count(self.trials))
+        object.__setattr__(self, "seed", _seeds(seed=self.seed)[0])
         if not 0.0 < self.overlay_eps < math.inf:
             raise ParameterError(f"overlay_eps must be a finite number > 0, "
                                  f"got {self.overlay_eps!r}")
-        if self.out is not None and not isinstance(self.out, (str, os.PathLike)):
-            raise ParameterError(f"out must be a path, got {self.out!r}")
-        if not hasattr(self.overlays, "__iter__"):
-            raise ParameterError(f"overlays must be a list of names, got {self.overlays!r}")
+        if self.out is not None and (not isinstance(self.out, (str, os.PathLike))
+                                     or not Path(self.out).name):
+            raise ParameterError(f"out must be a path to a file, got {self.out!r}")
         names = []
-        for name in self.overlays:
+        for name in _items(self.overlays, "overlays"):
             names.append(_KIND_ALIASES.get(name, name) if isinstance(name, str) else name)
             if names[-1] not in _OVERLAYS:
                 raise ParameterError(f"unknown overlay {name!r}")
@@ -602,9 +589,7 @@ def plausibility_floor(n, mu, k, trials):
     such points.  None also beyond the oracle's n cap, where the union
     bound is not evaluated.
     """
-    n, trials = _ints(n=n, trials=trials)
-    if trials < 1:
-        raise ParameterError("need at least one trial")
+    n, trials = _number(n, int, "n"), _trial_count(trials)
     if n > _MAX_CLOSED_FORM_N:
         return None
     ev = union_bound_sum(n, mu, k, 1)
@@ -615,10 +600,9 @@ def plausibility_floor(n, mu, k, trials):
     return int(hits[0]) + ev.r_start
 
 
-def _csv_num(v):
-    if isinstance(v, float):
-        return repr(v)
-    return str(v)
+def _num_text(v):
+    """A number as every output prints it: a float by repr, so it reads back exactly."""
+    return repr(v) if isinstance(v, float) else str(v)
 
 
 CSV_HEADER = "sweep_param,value,n,mu,K,d,trials,avg_cmax,min_cmax,max_outside,seed"
@@ -629,9 +613,9 @@ def render_csv(dataset) -> str:
     rows = [CSV_HEADER]
     for p in dataset["points"]:
         rows.append(",".join([
-            dataset["sweep_param"], _csv_num(p["value"]), str(p["n"]),
-            _csv_num(p["mu"]), str(p["K"]), str(p["d"]), str(p["trials"]),
-            _csv_num(p["avg_cmax"]), str(p["min_cmax"]), str(p["max_outside"]),
+            dataset["sweep_param"], _num_text(p["value"]), str(p["n"]),
+            _num_text(p["mu"]), str(p["K"]), str(p["d"]), str(p["trials"]),
+            _num_text(p["avg_cmax"]), str(p["min_cmax"]), str(p["max_outside"]),
             str(dataset["seed"]),
         ]))
     return "".join(row + "\n" for row in rows)
@@ -653,37 +637,41 @@ def _overlay_values(config, params, d):
             b = bounds.tail_bound(mu, k, config.overlay_m)
             out["tail_bound"] = {"M": config.overlay_m, "value": b.value}
         else:
+            entry = out["deleted_tail_bound"] = {"x": config.overlay_x, "eps": config.overlay_eps}
             try:
-                b = bounds.deleted_tail_bound(mu, k, d, config.overlay_x, config.overlay_eps)
-                out["deleted_tail_bound"] = {
-                    "x": config.overlay_x, "eps": config.overlay_eps, "value": b.value,
-                }
+                entry["value"] = bounds.deleted_tail_bound(mu, k, d, config.overlay_x,
+                                                           config.overlay_eps).value
             except ParameterError as err:
-                out["deleted_tail_bound"] = {
-                    "x": config.overlay_x, "eps": config.overlay_eps,
-                    "value": None, "note": str(err),
-                }
+                entry.update(value=None, note=str(err))
     return out
 
 
 @contextmanager
 def _staged(paths):
-    """Text handles on a .part file beside each path.  When the block
-    ends cleanly each .part replaces its path; when it raises, every
-    .part is removed and no path is touched."""
-    parts = [path.with_name(path.name + ".part") for path in paths]
-    handles = []
+    """The one writer of output files.  Opens a .part file beside each path;
+    the block appends one text per path to the yielded list.  Only when the
+    block ends cleanly are the texts written and the .parts renamed over the
+    paths; otherwise each .part is removed and no path is touched.  An OSError
+    of these steps, or a path that is a directory, is a ParameterError."""
+    parts = [Path(f"{path}.part") for path in paths]
+    handles, texts = [], []
     try:
         try:
+            for path in filter(os.path.isdir, paths):
+                raise IsADirectoryError(errno.EISDIR, os.strerror(errno.EISDIR), str(path))
             for part in parts:
                 handles.append(open(part, "w", encoding="utf-8"))
         except OSError as err:
             raise ParameterError(f"cannot write output: {err}") from None
-        yield handles
-        for handle in handles:
-            handle.close()
-        for part, path in zip(parts, paths):
-            os.replace(part, path)
+        yield texts
+        try:
+            for handle, text in zip(handles, texts, strict=True):
+                handle.write(text)
+                handle.close()
+            for part, path in zip(parts, paths):
+                os.replace(part, path)
+        except OSError as err:
+            raise ParameterError(f"cannot write output: {err}") from None
     except BaseException:
         for handle, part in zip(handles, parts):
             handle.close()
@@ -705,10 +693,10 @@ def run_sweep(config: ExperimentConfig, workers=None):
         if base.suffix in (".csv", ".json"):
             base = base.with_suffix("")
         paths = [base.with_suffix(".csv"), base.with_suffix(".json")]
-    with _staged(paths) as handles:
+    with _staged(paths) as texts:
         summaries, dataset = _sweep(config, points, workers)
-        for handle, render in zip(handles, (render_csv, render_json)):
-            handle.write(render(dataset))
+        if paths:
+            texts += [render_csv(dataset), render_json(dataset)]
     return summaries, dataset
 
 
@@ -776,11 +764,7 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     """
     if target.r < 2:
         raise ParameterError("coupling target needs at least two classes")
-    trials, seed = _ints(trials=trials, seed=seed)
-    if trials < 1:
-        raise ParameterError("need at least one trial")
-    if seed < 0:
-        raise ParameterError("seed must be a non-negative integer")
+    trials = _trial_count(trials)  # key_batches reads the seed before any pair is drawn
     n = target.n
     base_params = two_type_params(n, sum(target.type_probs[:-1]), target.type_selections[-1])
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed before every pair

@@ -18,7 +18,7 @@ from math import inf, isfinite, prod
 import numpy as np
 
 from .component_analysis import ComponentReport, connected_components
-from .errors import ParameterError, _number
+from .errors import ParameterError, _items, _number
 
 PROB_TOL = 1e-12
 MIX_TOL = 1e-9  # tolerance when matching a coupling's combined light-class mass
@@ -34,8 +34,9 @@ def as_generator(rng):
 
 def validate_type_distribution(type_probs, type_selections):
     """Validate (mu_1..mu_r, K_1 < ... < K_r) and return them as tuples."""
-    probs = tuple(_number(p, float, "type_probs entry") for p in type_probs)
-    sels = tuple(_number(k, int, "type_selections entry") for k in type_selections)
+    probs = tuple(_number(p, float, "type_probs entry") for p in _items(type_probs, "type_probs"))
+    sels = tuple(_number(k, int, "type_selections entry")
+                 for k in _items(type_selections, "type_selections"))
     if len(probs) < 2 or len(probs) != len(sels):
         raise ParameterError(
             "need r >= 2 type probabilities matched with r selection counts"

@@ -178,6 +178,16 @@ def test_negative_seed_exits_two(capsys, command):
     assert "seed must be a non-negative integer" in err
 
 
+def test_config_seed_of_one_point_zero_runs_as_seed_one(capsys, tmp_path):
+    conf = tmp_path / "seed.conf"
+    conf.write_text('sweep_param = "mu"\nsweep_values = [0.5]\nn = 30\ntrials = 5\nseed = 1.0\n')
+    code, out, err = run_cli(capsys, "sweep", "--config", str(conf))
+    assert code == 0 and err == ""
+    code, want, _ = run_cli(capsys, "sweep", "--sweep-param", "mu", "--sweep-values", "0.5",
+                            "--n", "30", "--trials", "5", "--seed", "1")
+    assert code == 0 and out == want and out.strip().endswith(",1")
+
+
 def test_seed_beyond_64_bits_is_kept(capsys):
     seed = str(2**64 + 1)
     code, out, _ = run_cli(capsys, "sweep", "--sweep-param", "mu", "--sweep-values", "0.5",

@@ -8,8 +8,10 @@ malformed line, or one value of a type its key does not take.  Flag values are p
 a leading minus as part of the value.  Cases draw n <= 40 (an `oracle
 --r` query may draw an n beyond the oracle's cap, which sizes no array) and
 at most 5 trials on one worker, so none builds a large graph, runs long or
-starts a process pool.  A valid but huge trial count, and `validate`
-with a level it does not know, run with the expensive call patched to
+starts a process pool.  Each command that takes `--out` also runs with an
+output path it cannot write: in a missing directory, onto a directory, or
+with a rename that fails; it must exit 2 and create or change no file.
+A valid but huge trial count, and `validate` with a level it does not know, run with the expensive call patched to
 raise, so a missing check fails the test instead of running it.  Worker
 counts up to 10^30 run 1200-trial sweeps at n=10 (five tasks, enough to
 ask for four workers) against a stand-in pool that records the size it
@@ -319,7 +321,59 @@ def test_sweep_with_too_many_trials_exits_two(trials, d):
         mp.setattr(experiments, "_run_block", no_trials)
         assert_named_rejection(["sweep"] + flags(sweep_param="d", sweep_values=d, n=30,
                                                  trials=trials, seed=1),
-                               re.escape("need between 1 and 2**32 trials"))
+                               re.escape(f"trials must be between 1 and 2**32, got {trials}"))
+
+
+# one valid run of each command that takes --out
+OUT_RUNS = {
+    "sample": ["sample"] + flags(n=10, seed=1),
+    "bounds": ["bounds"] + flags(kind="er", c=2.2),
+    "oracle": ["oracle"] + flags(n=30, m=2),
+    "sweep": ["sweep"] + flags(sweep_param="mu", sweep_values=0.5, n=30, trials=3, seed=1),
+}
+
+
+def _snapshot(root):
+    """Every path under root with its kind, bytes and modification time."""
+    return {path: (path.is_dir() or path.read_bytes(), path.stat().st_mtime_ns)
+            for path in root.rglob("*")}
+
+
+@pytest.fixture
+def out_dir(tmp_path):
+    """A directory holding a directory d (with a file in it), and the
+    directories s.csv and j.json beside a file j.csv."""
+    (tmp_path / "d").mkdir()
+    (tmp_path / "d" / "kept").write_text("kept")
+    (tmp_path / "s.csv").mkdir()
+    (tmp_path / "j.json").mkdir()
+    (tmp_path / "j.csv").write_text("old")
+    return tmp_path
+
+
+# a sweep's --out is a base: onto a directory, its .csv (s) or only its .json (j) is one
+@pytest.mark.parametrize("command, target",
+                         [(command, "missing/x") for command in sorted(OUT_RUNS)]
+                         + [(command, "d") for command in sorted(OUT_RUNS) if command != "sweep"]
+                         + [("sweep", "s"), ("sweep", "j")])
+def test_unwritable_out_exits_two_and_touches_no_file(out_dir, command, target):
+    before = _snapshot(out_dir)
+    assert_named_rejection(OUT_RUNS[command] + [f"--out={out_dir / target}"],
+                           "cannot write output: .+")
+    assert _snapshot(out_dir) == before
+
+
+@pytest.mark.parametrize("command", sorted(OUT_RUNS))
+def test_a_failed_rename_exits_two_and_leaves_no_part_file(out_dir, command):
+    def no_rename(*args):
+        raise PermissionError(1, "Operation not permitted")
+
+    before = _snapshot(out_dir)
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(experiments.os, "replace", no_rename)
+        assert_named_rejection(OUT_RUNS[command] + [f"--out={out_dir / 'r'}"],
+                               "cannot write output: .*Operation not permitted")
+    assert _snapshot(out_dir) == before
 
 
 @PROPERTY

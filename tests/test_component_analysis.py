@@ -256,6 +256,10 @@ def test_is_cut_validates_subset():
             is_cut(g, [0, bad])
     for member in (1.0, np.int64(1)):
         assert is_cut(g, [0, member]) is is_cut(g, [0, 1]) is True
+    # the subset is read as a list: a number or a string of digits is refused
+    for bad in (5, "01", b"01", np.int64(0)):
+        with pytest.raises(ParameterError, match="^cut subset must be a list, got "):
+            is_cut(g, bad)
     with pytest.raises(ParameterError):
         is_cut(g, set())
     with pytest.raises(ParameterError):
@@ -371,6 +375,9 @@ def test_cut_range_implication_cases(reads_numbers):
         cut_range_implication(connected, 4)  # x above floor(n/3)
     with pytest.raises(ParameterError):
         cut_range_implication(connected, 0)
+    for bad in (5, "255", None):
+        with pytest.raises(ParameterError, match="^sizes must be a list, got "):
+            cut_range_implication(bad, 1)
     reads_numbers(cut_range_implication, ([25, 5], 4), 1, "x")
     reads_numbers(lambda size, x: cut_range_implication([25, size], x), (5, 4), 0, "sizes entry")
 

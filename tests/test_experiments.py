@@ -33,6 +33,9 @@ def test_trial_streams_are_reproducible_and_independent(reads_numbers):
     assert not np.array_equal(a, d)
     for index, name in enumerate(["master_seed", "point_index", "trial_index"]):
         reads_numbers(trial_stream, (99, 1, 5), index, name, same=_same_stream)
+        # a negative coordinate is refused by name, not by numpy's SeedSequence
+        with pytest.raises(ParameterError, match=f"^{name} must be a non-negative integer"):
+            trial_stream(*[-1 if i == index else 1 for i in range(3)])
 
 
 def test_resolve_workers_precedence(monkeypatch, reads_numbers):
@@ -292,6 +295,9 @@ def test_trial_keys_reject_out_of_range_coordinates(reads_numbers):
     for args in ((-1, 0, 0, 1), (0, -1, 0, 1), (0, 0, 0, 2**32 + 1), (0, 0, -1, 1)):
         with pytest.raises(ParameterError):
             trial_keys(*args)
+    for args, name in (((-1, 0, 0, 1), "master_seed"), ((0, -3, 0, 1), "point_index")):
+        with pytest.raises(ParameterError, match=f"^{name} must be a non-negative integer, got -"):
+            trial_keys(*args)
     for index, name in enumerate(["master_seed", "point_index", "lo", "hi"]):
         reads_numbers(trial_keys, (7, 1, 5, 9), index, name)
 
@@ -421,7 +427,8 @@ def test_collect_cmax_validates_inputs():
     with pytest.raises(ParameterError, match="^trials must be an integer"):
         run_point(params, 1, 3.5, 1)
     target = GraphParams(n=20, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
-    for args, name in [((2.5, 1), "trials"), ((True, 1), "trials"), ((3, 1.5), "seed")]:
+    # the coupling's seed is read by trial_keys, as its master_seed
+    for args, name in [((2.5, 1), "trials"), ((True, 1), "trials"), ((3, 1.5), "master_seed")]:
         with pytest.raises(ParameterError, match=f"^{name} must be an integer"):
             coupling_experiment(target, *args)
     for workers in (2.5, True, "x"):
@@ -489,6 +496,21 @@ def test_experiment_config_validation():
                             k=2, overlays=["t1"], overlay_m=2)
     assert conf.overlays == ("tail",)
     assert conf.sweep_values == (0.3, 0.6)
+    # one trial count rule, the one collect_cmax keeps, refused at build time
+    with pytest.raises(ParameterError, match=r"^trials must be between 1 and 2\*\*32, got "):
+        ExperimentConfig(sweep_param="mu", sweep_values=(0.5,), n=10, trials=2**32 + 1)
+    # a name is one value, not a list of overlay names
+    with pytest.raises(ParameterError, match="^overlays must be a list, got 'tail'"):
+        ExperimentConfig(sweep_param="mu", sweep_values=(0.5,), n=10, overlays="tail",
+                         overlay_m=2)
+    with pytest.raises(ParameterError, match="^sweep_values must be a list, got 0.5"):
+        ExperimentConfig(sweep_param="mu", sweep_values=0.5, n=10)
+    for out in (".", "/"):  # a directory names no file to write
+        with pytest.raises(ParameterError, match="^out must be a path to a file"):
+            ExperimentConfig(sweep_param="mu", sweep_values=(0.5,), n=10, out=out)
+    # mu and k default to the CLI's 0.5 and 2; a seed of 1.0 reads as 1
+    conf = ExperimentConfig(sweep_param="n", sweep_values=(30,), seed=1.0)
+    assert (conf.mu, conf.k, conf.seed) == (0.5, 2, 1) and type(conf.seed) is int
 
 
 @pytest.mark.parametrize("field, value", [("trials", True), ("seed", True), ("d", False),
@@ -616,8 +638,8 @@ def test_plausibility_floor_behaviour():
 
 
 def test_plausibility_floor_refuses_bad_trial_counts(reads_numbers):
-    for trials in (0, -5):
-        with pytest.raises(ParameterError, match="^need at least one trial"):
+    for trials in (0, -5, 2**32 + 1):
+        with pytest.raises(ParameterError, match=r"^trials must be between 1 and 2\*\*32"):
             plausibility_floor(30, 0.5, 2, trials)
     reads_numbers(plausibility_floor, (30, 0.5, 2, 2000), 3, "trials")
     reads_numbers(plausibility_floor, (30, 0.5, 2, 2000), 0, "n")

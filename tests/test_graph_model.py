@@ -36,6 +36,12 @@ def test_params_validation_rejects_bad_inputs(reads_numbers):
         GraphParams(n=10, type_probs=(0.6, 0.5), type_selections=(1, 2))
     with pytest.raises(ParameterError):
         GraphParams(n=10, type_probs=(1.0,), type_selections=(2,))
+    # each vector is read as a list: a number or a string is refused by name
+    for probs, sels, name in [(0.5, (1, 2), "type_probs"), ((0.5, 0.5), 2, "type_selections"),
+                              ("ab", (1, 2), "type_probs"),
+                              ((0.5, 0.5), b"12", "type_selections")]:
+        with pytest.raises(ParameterError, match=f"^{name} must be a list, got "):
+            GraphParams(10, probs, sels)
     for index, name in enumerate(["n", "mu", "k"]):
         reads_numbers(two_type_params, (10, 0.5, 2), index, name, name != "mu")
     reads_numbers(GraphParams, (10, (0.5, 0.5), (1, 2)), 0, "n")

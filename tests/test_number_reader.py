@@ -1,10 +1,14 @@
-"""The shared number reader stays the only one.
+"""The shared readers and the one file writer stay the only ones.
 
 Every public function of the package reads the counts and reals its
 caller passes in with errors._number (or errors._ints, which calls it).
 A bare int() or float() on a parameter would truncate 2.5 to 2 and let
 True pass as 1, so this walks the syntax tree of every module and fails
-on any such call, and on a second definition of _number.
+on any such call, and on a second definition of _number.  The same
+walks fail on a sign test of a seed or stream coordinate outside
+errors.py, whose _seeds is the one home of that rule, and on a file
+opened for writing outside experiments._staged, which alone makes sure
+that a failed run leaves no partial output file.
 """
 
 import ast
@@ -87,3 +91,90 @@ def test_number_has_one_definition():
              for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
              if isinstance(node, ast.FunctionDef) and node.name == "_number"]
     assert homes == ["errors.py"]
+
+
+_SEED_NAMES = {"seed", "master_seed", "point_index"}
+_WRITE_MODES = set("wax+")
+
+
+def _enclosing(tree):
+    """(node, name of its innermost enclosing function, or None) for every node."""
+    def walk(node, name):
+        yield node, name
+        for child in ast.iter_child_nodes(node):
+            inner = child.name if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)) \
+                else name
+            yield from walk(child, inner)
+    return walk(tree, None)
+
+
+def seed_sign_tests(source):
+    """(function, test) for each comparison of a seed, master_seed or
+    point_index (a name or an attribute) with the constant 0."""
+    def operand(node):
+        return (isinstance(node, ast.Name) and node.id in _SEED_NAMES
+                or isinstance(node, ast.Attribute) and node.attr in _SEED_NAMES)
+
+    return [(fn, ast.unparse(node)) for node, fn in _enclosing(ast.parse(source))
+            if isinstance(node, ast.Compare)
+            and any(map(operand, [node.left, *node.comparators]))
+            and any(isinstance(c, ast.Constant) and c.value == 0
+                    for c in [node.left, *node.comparators])]
+
+
+def file_writes(source):
+    """(function, call) for each open() call, or .open() method call such
+    as os.open, whose mode is not a constant free of w, a, x and +, and
+    each .write_text() or .write_bytes() call.  An open of os.devnull is
+    skipped: writing there leaves no file."""
+    found = []
+    for node, fn in _enclosing(ast.parse(source)):
+        if not isinstance(node, ast.Call):
+            continue
+        func = node.func
+        name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+        if name in ("write_text", "write_bytes") and isinstance(func, ast.Attribute):
+            found.append((fn, ast.unparse(node)))
+        elif name == "open" and not (node.args and ast.unparse(node.args[0]) == "os.devnull"):
+            # open(file, mode) takes the mode second, a path's .open(mode) first
+            args = node.args[1:] if isinstance(func, ast.Name) else node.args
+            mode = ([kw.value for kw in node.keywords if kw.arg == "mode"] + args[:1]
+                    + [ast.Constant("r")])[0]
+            if not (isinstance(mode, ast.Constant) and isinstance(mode.value, str)
+                    and not _WRITE_MODES & set(mode.value)):
+                found.append((fn, ast.unparse(node)))
+    return found
+
+
+def test_the_walks_find_each_seed_sign_test_and_file_write():
+    source = '''
+def f(seed, point_index, path, mode):
+    if seed < 0 or 0 > point_index or self.seed >= 0 or seed < 1 or n < 0:
+        pass
+    open(path), open(path, "rb"), open(path, encoding="utf-8"), path.open()
+    open(path, "w"), open(path, mode="a"), open(path, "r+"), open(path, mode)
+    path.open("x"), path.write_text("t"), path.write_bytes(b"")
+    os.open(os.devnull, os.O_WRONLY), os.open(path, os.O_WRONLY)
+
+class C:
+    def g(self, master_seed):
+        return master_seed >= 0
+'''
+    assert seed_sign_tests(source) == [
+        ("f", "seed < 0"), ("f", "0 > point_index"), ("f", "self.seed >= 0"),
+        ("g", "master_seed >= 0")]
+    assert file_writes(source) == [
+        ("f", "open(path, 'w')"), ("f", "open(path, mode='a')"), ("f", "open(path, 'r+')"),
+        ("f", "open(path, mode)"), ("f", "path.open('x')"), ("f", "path.write_text('t')"),
+        ("f", "path.write_bytes(b'')"), ("f", "os.open(path, os.O_WRONLY)")]
+
+
+def test_seeds_are_checked_and_files_written_in_one_place():
+    seeds, writes = [], []
+    for path in sorted(SRC.glob("*.py")):
+        source = path.read_text(encoding="utf-8")
+        if path.name != "errors.py":
+            seeds += [(path.name, *hit) for hit in seed_sign_tests(source)]
+        writes += [(path.name, *hit) for hit in file_writes(source)]
+    assert seeds == []
+    assert [(name, fn) for name, fn, _ in writes] == [("experiments.py", "_staged")]

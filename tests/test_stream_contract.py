@@ -24,11 +24,19 @@ with a pure-Python decoder of the stream:
 5. numpy leaves Floyd's algorithm for a tail shuffle only above
    n = 10**4, where d > n // 50.
 
+Facts 1-4 together decode a whole trial from its raw words (_trial): the
+type uniforms, the picks of every class with each redraw round, and the
+deletion.  That decode is the reference that any decoder of the raw
+words in the engine is tested against, beside draw_trial.
+
 Keys are Philox keys, so each case starts a fresh stream at counter 0.
 """
 
 import numpy as np
 import pytest
+
+from koutlab import GraphParams, two_type_params
+from koutlab.graph_model import draw_deleted, draw_trial
 
 hypothesis = pytest.importorskip("hypothesis")
 given, settings, st = hypothesis.given, hypothesis.settings, hypothesis.strategies
@@ -146,3 +154,71 @@ def test_choice_leaves_floyd_only_above_the_tail_shuffle_cutoff(n, d, floyd):
     got = _generator(7).choice(n, size=d, replace=False).tolist()
     assert (got == _choice(_halves(7), n, d)) == floyd, \
         "fact 5: numpy's tail shuffle starts above n = 10**4, where d > n // 50"
+
+
+def _trial(key, params, d):
+    """draw_trial(params, rng) and then draw_deleted(n, d, rng), for rng a
+    fresh generator keyed by key, decoded from the raw words by facts
+    1-4: (type uniforms, the flat pick list of each block, deleted)."""
+    n, ks, f = params.n, params.type_selections, params._first_rows
+    halves = _halves(key)
+    # fact 3: each uniform is the top 53 bits of one whole word
+    x = [((next(halves) | next(halves) << 32) >> 11) * 2.0 ** -53 for _ in range(n)]
+    edges = params.cum_probs[:-1].tolist()
+    counts = [0] * params.r
+    for u in x:  # a node's class is the count of inner bin edges at or below it
+        counts[sum(u >= edge for edge in edges)] += 1
+    # fact 2: class 0's single picks and class f's rows share one call
+    blocks = [_lemire(halves, n - 1, counts[0])] if f else []
+    for t in range(f, params.r):
+        k = ks[t]
+        picks = _lemire(halves, n - 1, counts[t] * k)
+        rows = [picks[i:i + k] for i in range(0, len(picks), k)]
+        if params._fills_columns[t]:  # column by column, one pick per repeat a round
+            for j in range(1, k):
+                bad = [row for row in rows if row[j] in row[:j]]
+                while bad:
+                    for row, pick in zip(bad, _lemire(halves, n - 1, len(bad))):
+                        row[j] = pick
+                    bad = [row for row in bad if row[j] in row[:j]]
+        else:  # every repeating row redrawn whole, in row order, a round at a time
+            bad = [row for row in rows if len(set(row)) < k]
+            while bad:
+                picks = _lemire(halves, n - 1, len(bad) * k)
+                for i, row in enumerate(bad):
+                    row[:] = picks[i * k:(i + 1) * k]
+                bad = [row for row in bad if len(set(row)) < k]
+        blocks.append([pick for row in rows for pick in row])
+    return x, blocks, _choice(halves, n, d)
+
+
+def _two_type(draw):
+    n = draw(st.integers(3, 40))
+    return two_type_params(n, draw(st.floats(0.05, 0.95)), draw(st.integers(2, n - 1)))
+
+
+ENSEMBLES = {
+    # K up to n - 1: at n <= 12 a large K fills columns
+    "two-type": _two_type,
+    "three-class": lambda draw: GraphParams(draw(st.integers(5, 40)), (0.5, 0.3, 0.2),
+                                            (1, 2, 4)),
+    # no single picks, so the first call draws class 0's rows; K=19 fills columns
+    "column-filled": lambda draw: GraphParams(20, (0.2, 0.3, 0.5), (2, 3, 19)),
+}
+
+
+@pytest.mark.parametrize("ensemble", sorted(ENSEMBLES))
+@PROPERTY
+@given(keys, st.data())
+def test_a_whole_trial_is_one_decode_of_its_raw_words(ensemble, key, data):
+    params = ENSEMBLES[ensemble](data.draw)
+    d = data.draw(st.integers(0, min(params.n - 1, 5)))
+    rng = _generator(key)
+    x, blocks = draw_trial(params, rng)
+    deleted = draw_deleted(params.n, d, rng)
+    want_x, want_blocks, want_deleted = _trial(key, params, d)
+    assert x.tolist() == want_x, "fact 3: the type uniforms are the first n words' top 53 bits"
+    assert [block.tolist() for block in blocks] == want_blocks, \
+        "facts 1-2: the picks and redraw rounds are Lemire over the halves after the uniforms"
+    assert deleted.tolist() == want_deleted, \
+        "fact 4: the deletion is Floyd, then a Lemire shuffle, on the halves after the picks"
