@@ -27,8 +27,8 @@ from . import __version__, bounds, oracle
 from .bounds import _KIND_ALIASES
 from .component_analysis import connected_components
 from .errors import ParameterError, _seeds
-from .experiments import (ExperimentConfig, _num_text, _staged, render_csv, render_json,
-                          run_sweep)
+from .experiments import (ExperimentConfig, _num_text, _out_paths, _staged, render_csv,
+                          render_json, run_sweep, trial_stream)
 from .graph_model import GraphParams, construct_r_type, delete_random_nodes, two_type_params
 
 # a config file sets ExperimentConfig's fields, plus the stdout format
@@ -149,7 +149,7 @@ def _emit(text, out_path):
 def cmd_sample(args) -> int:
     params = _graph_params(args)
     seed = _resolve_seed(args.seed)
-    rng = np.random.default_rng(seed)
+    rng = trial_stream(seed, 0, 0)  # trial 0 of a sweep's first point: collect_cmax's draw
     g = construct_r_type(params, rng)
     view = delete_random_nodes(g, args.d, rng)[1] if args.d else g
     report = connected_components(view)
@@ -204,10 +204,8 @@ def cmd_sweep(args) -> int:
     if config.out is None:
         _write_stdout(render_json(dataset) if fmt == "json" else render_csv(dataset))
     else:
-        _write_stdout(
-            f"wrote {len(summaries)} sweep points (seed {config.seed}) to "
-            f"{config.out}.csv and {config.out}.json\n"
-        )
+        paths = " and ".join(map(str, _out_paths(config.out)))
+        _write_stdout(f"wrote {len(summaries)} sweep points (seed {config.seed}) to {paths}\n")
     return 0
 
 

@@ -46,6 +46,13 @@ def _trial_count(trials):
     return trials
 
 
+def _generator(rng):
+    """rng, a numpy Generator (such as trial_stream's); a ParameterError names rng otherwise."""
+    if not isinstance(rng, np.random.Generator):
+        raise ParameterError(f"rng must be a numpy.random.Generator, got {rng!r}")
+    return rng
+
+
 def _items(value, what):
     """value's items as a tuple; a ParameterError names what if value is a str or bytes
     (one value, not a list) or is not iterable."""

@@ -679,6 +679,14 @@ def _staged(paths):
         raise
 
 
+def _out_paths(out):
+    """A sweep's CSV and JSON targets for its base path out: one trailing
+    .csv or .json is stripped, then both suffixes are appended."""
+    base = Path(out)
+    base = base.with_suffix("") if base.suffix in (".csv", ".json") else base
+    return [Path(f"{base}.csv"), Path(f"{base}.json")]
+
+
 def run_sweep(config: ExperimentConfig, workers=None):
     """Run every sweep point; emit CSV (and a JSON mirror) when out is set.
 
@@ -687,12 +695,7 @@ def run_sweep(config: ExperimentConfig, workers=None):
     fails fast, and a sweep that fails leaves no output file behind.
     """
     points = config.resolve_points()
-    paths = []
-    if config.out is not None:
-        base = Path(config.out)
-        if base.suffix in (".csv", ".json"):
-            base = base.with_suffix("")
-        paths = [base.with_suffix(".csv"), base.with_suffix(".json")]
+    paths = [] if config.out is None else _out_paths(config.out)
     with _staged(paths) as texts:
         summaries, dataset = _sweep(config, points, workers)
         if paths:

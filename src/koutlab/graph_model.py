@@ -18,18 +18,11 @@ from math import inf, isfinite, prod
 import numpy as np
 
 from .component_analysis import ComponentReport, connected_components
-from .errors import ParameterError, _items, _number
+from .errors import ParameterError, _generator, _items, _number
 
 PROB_TOL = 1e-12
 MIX_TOL = 1e-9  # tolerance when matching a coupling's combined light-class mass
 _ROW_ACCEPT_MIN = 1e-3  # below this whole-row acceptance, draw_trial redraws single picks
-
-
-def as_generator(rng):
-    """Accept a numpy Generator, an integer seed, or None (OS entropy)."""
-    if isinstance(rng, np.random.Generator):
-        return rng
-    return np.random.default_rng(rng)
 
 
 def validate_type_distribution(type_probs, type_selections):
@@ -398,8 +391,8 @@ def union_arcs(params: GraphParams, nodes, blocks, counts=None) -> tuple[np.ndar
 
 
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:
-    """Draw one graph from the r-class ensemble."""
-    x, blocks = draw_trial(params, as_generator(rng))
+    """Draw one graph from the r-class ensemble with the Generator rng."""
+    x, blocks = draw_trial(params, _generator(rng))
     types = np.empty(params.n, dtype=np.int64)
     for t, nodes in enumerate(class_nodes(params, x)):
         types[nodes] = t
@@ -407,11 +400,11 @@ def construct_r_type(params: GraphParams, rng) -> KoutGraph:
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):
-    """Remove d uniformly random nodes; returns (the removed nodes as a
-    sorted tuple, the graph with those nodes deleted)."""
+    """Remove d uniformly random nodes, drawn with the Generator rng; returns
+    (the removed nodes as a sorted tuple, the graph with those nodes deleted)."""
     if g.deleted:
         raise ParameterError("the graph already has deleted nodes")
-    nodes = tuple(sorted(draw_deleted(g.n, _read_d(d, g.n), as_generator(rng)).tolist()))
+    nodes = tuple(sorted(draw_deleted(g.n, _read_d(d, g.n), _generator(rng)).tolist()))
     return nodes, replace(g, deleted=frozenset(nodes))
 
 
@@ -439,9 +432,9 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
         raise ParameterError(
             "base type-1 probability must equal the target's combined light-class mass"
         )
+    _generator(rng)
     if target.r == 2:
         return g2
-    rng = as_generator(rng)
     n, r = target.n, target.r
 
     light = np.flatnonzero(g2.node_types == 0)

@@ -32,7 +32,7 @@ from .bounds import (deleted_tail_bound, deleted_tail_bound_alt, er_giant_fracti
 from .errors import ParameterError
 from .component_analysis import (connected_components, connected_components_bfs,
                                  cut_range_implication)
-from .experiments import _batch_sizes, collect_cmax, coupling_experiment, key_batches
+from .experiments import _batch_sizes, collect_cmax, coupling_experiment, key_batches, trial_stream
 from .graph_model import GraphParams, construct_r_type, delete_random_nodes, two_type_params
 from .oracle import (exact_cut_probability, exact_cut_probability_deleted,
                      exhaustive_event_probability, union_bound_sum, union_bound_sum_deleted)
@@ -128,20 +128,19 @@ def check_coupling(n, pairs, seed) -> SuiteResult:
 
 
 def _suite_dual_components() -> SuiteResult:
-    """The component labeler and its BFS reference agree, with deletions."""
-    rng = np.random.default_rng(_SEED + 1)
+    """The component labeler and its BFS reference agree, with deletions.
+    Case t draws from trial t of (_SEED + 1, point 0)."""
     mismatches = 0
     cases = 200
-    for _ in range(cases):
+    for t in range(cases):
+        rng = trial_stream(_SEED + 1, 0, t)
         n = int(rng.integers(3, 41))
         k = int(rng.integers(2, min(n, 5)))
         mu = float(rng.uniform(0.1, 0.9))
         g = construct_r_type(two_type_params(n, mu, k), rng)
-        view = g
         if rng.random() < 0.5:
-            _, view = delete_random_nodes(g, int(rng.integers(0, n)), rng)
-        if connected_components(view) != connected_components_bfs(view):
-            mismatches += 1
+            g = delete_random_nodes(g, int(rng.integers(0, n)), rng)[1]
+        mismatches += connected_components(g) != connected_components_bfs(g)
     return SuiteResult(
         name="dual-component-algorithms",
         passed=mismatches == 0,

@@ -110,11 +110,10 @@ def test_c08_coupling_produces_no_violations():
 
 def test_c09_empirical_mean_degree_matches_formula():
     params = two_type_params(2000, 0.9, 2)
-    rng = trial_stream(SEED, 9, 0)
     total = 0.0
     trials = 200
-    for _ in range(trials):
-        total += 2 * construct_r_type(params, rng).edge_count / params.n
+    for t in range(trials):  # graph t is trial t of (SEED, point 9)
+        total += 2 * construct_r_type(params, trial_stream(SEED, 9, t)).edge_count / params.n
     expected = mean_degree(2000, 0.9, 2)
     print(f"criterion 9: empirical {total / trials:.6f} vs formula "
           f"{expected:.6f}")

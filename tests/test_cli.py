@@ -13,6 +13,8 @@ import koutlab
 import koutlab.validate
 from koutlab.cli import load_config_file, main
 from koutlab.errors import ParameterError
+from koutlab.experiments import collect_cmax, trial_stream
+from koutlab.graph_model import GraphParams, construct_r_type, delete_random_nodes, two_type_params
 from koutlab.validate import SuiteResult
 
 
@@ -216,6 +218,19 @@ def test_failed_sweep_writes_no_files(capsys, tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+@pytest.mark.parametrize("out, stem", [("run.v1", "run.v1"), ("run.csv", "run"),
+                                       ("run.json", "run"), ("run.csv.json", "run.csv")])
+def test_sweep_out_appends_both_suffixes(capsys, tmp_path, out, stem):
+    # one trailing .csv or .json is stripped; any other suffix is kept
+    code, text, _ = run_cli(capsys, "sweep", "--sweep-param", "mu", "--sweep-values", "0.5",
+                            "--n", "30", "--trials", "5", "--seed", "1",
+                            "--out", str(tmp_path / out))
+    assert code == 0
+    assert sorted(p.name for p in tmp_path.iterdir()) == [f"{stem}.csv", f"{stem}.json"]
+    assert text == (f"wrote 1 sweep points (seed 1) to {tmp_path / stem}.csv and "
+                    f"{tmp_path / stem}.json\n")
+
+
 def test_sweep_requires_axis(capsys):
     code, _, err = run_cli(capsys, "sweep", "--n", "30", "--trials", "5")
     assert code == 2
@@ -398,7 +413,8 @@ def test_bounds_stdout_bytes_are_pinned(capsys, argv, text_sha, json_sha):
 # sha256 of `koutlab oracle` and `koutlab sample` stdout (text, then json),
 # recorded from the renderers that kept a separate text and json branch per
 # query: cut probability with and without --d, union bound, deleted union
-# bound (the last one beyond float64), each in log and direct mode
+# bound (the last one beyond float64), each in log and direct mode; the
+# sample ones since sample draws trial 0 of its seed's point 0
 _QUERY_STDOUT_HASHES = [
     (["oracle", "--n", "30", "--mu", "0.5", "--k", "2", "--r", "3"],
      "2a091b84d0fa76af3ae0724ae4be639587f44c74da87ba38597e96d8df28ac4e",
@@ -430,14 +446,14 @@ _QUERY_STDOUT_HASHES = [
      "7859490050931d37fe6967a8b11530eca68151fc448712d4ac19a0c95ecdac74",
      "8b580ac8490a68ef4f4641465411564de95b6cf83ceecd1aa072c8982a964182"),
     (["sample", "--n", "12", "--k", "3", "--seed", "9"],
-     "ff1b0af0eb22a4d5771ad388d2b0f1e29e0a15658eae7e6c5145edbf82c7d002",
-     "89110813e6d1cee2d370266a723370f4f1f5d4db219aa796e5eacc2f970c1e7b"),
+     "fb3b2b284978016b5263505fb29154053dc734d79eb52630a47db0829145bc4c",
+     "299edaf8ae27a55829582770cf8d31e126bd53a9875e6ed52e6aa063b624dacf"),
     (["sample", "--n", "40", "--mu", "0.9", "--k", "2", "--d", "5", "--seed", "1"],
-     "eed4c96a83e0e4819b9e6978f212270b13932375f779c4181888e9aa26176206",
-     "000e9da6c65e182a6a15a59b5341a94146cbeb9ff5e10e777e355b62ea82bec3"),
+     "942e9136c5110bf0b6ea05412d6899a6547aa0f54e1374b4ab0288a7d852ee32",
+     "f06de7c00ab3e63c955b8f3097cd66ea8b1d5a59e40e8c230b1dcf9ff7843815"),
     (["sample", "--n", "40", "--mu-vec", "0.5,0.3,0.2", "--k-vec", "1,2,4", "--seed", "4"],
-     "77669a7d7c573de81fb1c003b05c20f69732133b0b11a41f4f3d23070417b6fd",
-     "2da49cc17d17e68e8aaa2807093aa6ab1fe50632efcb8278ff554a08f5e2e1dd"),
+     "dd719356d72b0454925a3657bb11cf4a6dac23b1927c63e14875f87af768fcc7",
+     "80fb30d6c8369ec607729666a59707db07a675042e33b6c8574a05a065266916"),
 ]
 
 
@@ -449,6 +465,29 @@ def test_oracle_and_sample_stdout_bytes_are_pinned(capsys, argv, text_sha, json_
         code, out, err = run_cli(capsys, *argv, "--format", fmt)
         assert code == 0 and err == ""
         assert hashlib.sha256(out.encode()).hexdigest() == sha, out
+
+
+# the pinned sample argvs, each with its ensemble, d and seed
+_SAMPLE_CASES = [
+    (["sample", "--n", "12", "--k", "3", "--seed", "9"], two_type_params(12, 0.5, 3), 0, 9),
+    (["sample", "--n", "40", "--mu", "0.9", "--k", "2", "--d", "5", "--seed", "1"],
+     two_type_params(40, 0.9, 2), 5, 1),
+    (["sample", "--n", "40", "--mu-vec", "0.5,0.3,0.2", "--k-vec", "1,2,4", "--seed", "4"],
+     GraphParams(40, (0.5, 0.3, 0.2), (1, 2, 4)), 0, 4),
+]
+
+
+@pytest.mark.parametrize("argv, params, d, seed", _SAMPLE_CASES,
+                         ids=[f"n{p.n}-d{d}-seed{s}" for _, p, d, s in _SAMPLE_CASES])
+def test_sample_is_a_sweeps_first_trial(capsys, argv, params, d, seed):
+    code, out, _ = run_cli(capsys, *argv, "--format", "json")
+    assert code == 0
+    payload = json.loads(out)
+    assert payload["cmax"] == collect_cmax(params, d, 1, seed)[0]
+    rng = trial_stream(seed, 0, 0)
+    g = construct_r_type(params, rng)
+    assert payload["node_types"] == g.node_types.tolist()
+    assert payload["deleted"] == (list(delete_random_nodes(g, d, rng)[0]) if d else [])
 
 
 def test_oracle_cut_probability(capsys):

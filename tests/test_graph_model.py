@@ -259,8 +259,35 @@ def test_deletion_validates_range_and_keeps_base_intact(reads_numbers):
     assert all(u in surv and v in surv for u, v in zip(eu.tolist(), ev.tolist()))
     with pytest.raises(ParameterError, match="already has deleted nodes"):
         delete_random_nodes(view, 1, np.random.default_rng(1))
-    reads_numbers(delete_random_nodes, (g, 4, 0), 1, "d",
-                  same=lambda a, b: a[0] == b[0] and a[1].deleted == b[1].deleted)
+    # each call draws from a fresh generator, so equal reads give equal deletions
+    reads_numbers(lambda g, d: delete_random_nodes(g, d, np.random.default_rng(0)), (g, 4), 1,
+                  "d", same=lambda a, b: a[0] == b[0] and a[1].deleted == b[1].deleted)
+
+
+_P10 = two_type_params(10, 0.5, 2)
+_BASE10 = GraphParams(n=10, type_probs=(0.8, 0.2), type_selections=(1, 4))
+_TARGET10 = GraphParams(n=10, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
+
+
+# (id, call of g, a graph of _P10, and g2, a graph of _BASE10) with an rng that is
+# not a Generator: an int seed or None is refused, not handed to numpy
+_REFUSED_RNGS = [
+    ("construct-negative", lambda g, g2: construct_r_type(_P10, -1)),
+    ("construct-int", lambda g, g2: construct_r_type(_P10, 7)),
+    ("construct-none", lambda g, g2: construct_r_type(_P10, None)),
+    ("delete-int", lambda g, g2: delete_random_nodes(g, 3, 0)),
+    ("couple-str", lambda g, g2: couple_extend(g2, _TARGET10, "x")),
+    ("couple-two-class-target", lambda g, g2: couple_extend(g2, _BASE10, 1)),
+]
+
+
+@pytest.mark.parametrize("call", [call for _, call in _REFUSED_RNGS],
+                         ids=[name for name, _ in _REFUSED_RNGS])
+def test_per_graph_functions_take_only_a_generator(call):
+    g = construct_r_type(_P10, np.random.default_rng(1))
+    g2 = construct_r_type(_BASE10, np.random.default_rng(2))
+    with pytest.raises(ParameterError, match=r"^rng must be a numpy\.random\.Generator, got "):
+        call(g, g2)
 
 
 def test_coupling_output_contains_base_edges():

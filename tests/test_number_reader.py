@@ -8,7 +8,10 @@ on any such call, and on a second definition of _number.  The same
 walks fail on a sign test of a seed or stream coordinate outside
 errors.py, whose _seeds is the one home of that rule, and on a file
 opened for writing outside experiments._staged, which alone makes sure
-that a failed run leaves no partial output file.
+that a failed run leaves no partial output file.  A last walk fails on
+any call of default_rng, and on a call of SeedSequence outside
+experiments.trial_stream: every sampled graph draws from a keyed trial
+stream, so a seed becomes a generator in that one place.
 """
 
 import ast
@@ -178,3 +181,46 @@ def test_seeds_are_checked_and_files_written_in_one_place():
         writes += [(path.name, *hit) for hit in file_writes(source)]
     assert seeds == []
     assert [(name, fn) for name, fn, _ in writes] == [("experiments.py", "_staged")]
+
+
+_STREAM_BUILDERS = {"default_rng", "SeedSequence"}
+
+
+def stream_builds(source):
+    """(function, call) for each call of default_rng or SeedSequence, by
+    name or as an attribute such as np.random.default_rng."""
+    found = []
+    for node, fn in _enclosing(ast.parse(source)):
+        if isinstance(node, ast.Call):
+            func = node.func
+            name = func.id if isinstance(func, ast.Name) else getattr(func, "attr", None)
+            if name in _STREAM_BUILDERS:
+                found.append((fn, ast.unparse(node)))
+    return found
+
+
+def test_the_walk_finds_each_stream_build():
+    source = '''
+import numpy as np
+from numpy.random import SeedSequence, default_rng
+
+RNG = np.random.default_rng(0)
+
+def f(seed):
+    return np.random.default_rng(seed), default_rng(), SeedSequence(seed)
+
+class C:
+    def g(self, key):
+        return np.random.SeedSequence((1, 2)).spawn(2), np.random.Generator(np.random.Philox(key))
+'''
+    assert stream_builds(source) == [
+        (None, "np.random.default_rng(0)"), ("f", "np.random.default_rng(seed)"),
+        ("f", "default_rng()"), ("f", "SeedSequence(seed)"),
+        ("g", "np.random.SeedSequence((1, 2))")]
+
+
+def test_a_seed_becomes_a_generator_only_in_trial_stream():
+    builds = [(path.name, *hit) for path in sorted(SRC.glob("*.py"))
+              for hit in stream_builds(path.read_text(encoding="utf-8"))]
+    assert [(name, fn, call.split("(")[0]) for name, fn, call in builds] == [
+        ("experiments.py", "trial_stream", "np.random.SeedSequence")]
