@@ -27,9 +27,10 @@ import numpy as np
 
 from .component_analysis import component_labels
 from .errors import ParameterError, _ints, _items, _number, _seeds, _trial_count
-from .graph_model import (GraphParams, _distinct_columns, _first_draw, _read_d,
-                          _redraw_repeats, _rows_with_repeats, class_nodes, construct_r_type,
-                          couple_extend, draw_deleted, draw_trial, two_type_params, union_arcs)
+from .graph_model import (GraphParams, _class_counts, _distinct_columns, _draw_classes,
+                          _first_draw, _read_d, _redraw_repeats, _rows_with_repeats, class_nodes,
+                          construct_r_type, couple_extend, draw_deleted, draw_trial,
+                          two_type_params, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
 from .oracle import _MAX_CLOSED_FORM_N, union_bound_sum
@@ -297,10 +298,9 @@ def _slice_rounds(spare, owner, rows, n, bad):
 
 
 def _trial_by_trial(params, d, rng, keys):
-    """_batch_draw's result drawn trial by trial: per key, rekey,
-    draw_trial, and with d > 0 draw_deleted.  Each class's blocks are
-    concatenated in trial order, and the (B, r) class counts come from
-    their sizes; a lone trial's counts are None, union_arcs' one draw."""
+    """_batch_draw's result drawn trial by trial: per key, rekey, draw_trial
+    and, with d > 0, draw_deleted.  Each class's blocks are concatenated in
+    trial order; the (B, r) class counts come from their sizes."""
     xs, picks = [], []
     dead = np.empty((len(keys), d), dtype=np.int64)
     for b, key in enumerate(keys):
@@ -310,8 +310,6 @@ def _trial_by_trial(params, d, rng, keys):
         picks.append(blocks)
         if d:
             dead[b] = draw_deleted(params.n, d, rng)
-    if len(keys) == 1:
-        return class_nodes(params, x), blocks, None, dead
     counts = np.array([[block.size for block in blocks] for blocks in picks])
     blocks = [np.concatenate(c) for c in zip(*picks)]
     return class_nodes(params, np.concatenate(xs)), blocks, counts // params.type_selections, dead
@@ -329,7 +327,9 @@ def _first_rounds(params, rng, keys):
     xs, counts, heads, rows, spares = [], [], [], [], []
     for key in keys:
         _rekey(rng, key)
-        x, c, head, picks, spare = _first_draw(params, rng, size)
+        x = rng.random(n)
+        c = _class_counts(params, x)
+        head, picks, spare = _first_draw(params, rng, c, size(c))
         xs.append(x)
         counts.append(c)
         heads.append(head)
@@ -349,10 +349,9 @@ def _batch_draw(params, d, rng, keys):
     (B, d) deleted nodes: each class's nodes as flat ids b*n + i, trial
     by trial, worked out once for the batch from its type uniforms
     (class_nodes), each class's picks concatenated in trial order, and
-    the (B, r) class counts (None for a lone trial).  A lone trial, with
-    no batch to share its rounds with, and every batch with d > 0, whose
-    deleted nodes must be drawn from each stream right after the picks
-    it used, are drawn trial by trial (_trial_by_trial).
+    the (B, r) class counts.  A batch with d > 0, whose deleted nodes
+    must be drawn from each stream right after the picks it used, is
+    drawn trial by trial (_trial_by_trial).
 
     Otherwise one generator serves every trial.  Per trial it is rekeyed
     and makes draw_trial's first calls (_first_draw, in _first_rounds):
@@ -373,7 +372,7 @@ def _batch_draw(params, d, rng, keys):
     cursor per trial (_Spares).  A trial whose block runs out is drawn
     again trial by trial.
     """
-    if d or len(keys) == 1:
+    if d:
         return _trial_by_trial(params, d, rng, keys)
     n, ks, first = params.n, params.type_selections, params._first_rows
     nodes, blocks, counts, spares, bad = _first_rounds(params, rng, keys)
@@ -406,41 +405,56 @@ def _batch_draw(params, d, rng, keys):
     return nodes, blocks, counts, dead
 
 
+def _batch_labels(params, d, rng, keys) -> np.ndarray:
+    """component_labels of the trials with these keys as one disjoint union,
+    trial b's node i being node b*n + i and each deleted node a singleton.
+    A lone trial (n > 2048) has no rounds to share and is drawn by
+    _draw_classes and draw_deleted; other batches by _batch_draw."""
+    n, nodes = params.n, len(keys) * params.n
+    if len(keys) == 1:
+        _rekey(rng, keys[0])
+        u, v = union_arcs(params, *_draw_classes(params, rng))
+        dead = draw_deleted(n, d, rng) if d else None
+    else:
+        *draw, dead = _batch_draw(params, d, rng, keys)
+        u, v = union_arcs(params, *draw)
+        dead = dead + np.arange(0, nodes, n)[:, None]
+    if d:  # an arc with a deleted end becomes a self-loop
+        cut = np.zeros(nodes, dtype=bool)
+        cut[dead] = True
+        np.copyto(v, u, where=cut[u] | cut[v])
+    return component_labels(nodes, u, v)
+
+
 def _batch_sizes(params, d, rng, keys) -> np.ndarray:
-    """Component sizes of the trials with these keys, labeled as one disjoint union.
-
-    The trials are drawn by _batch_draw, which shares the redraw rounds
-    of a batch with d == 0 and draws a batch with d > 0 trial by trial;
-    either way its class node lists and counts let union_arcs place
-    trial b's nodes at b*n without a division, and everything after the
-    draw runs on the whole batch.  Row b,
-    entry i of the (B, n) result is the size of trial b's component
-    whose smallest node is i, and 0 where i is not the smallest; a
-    deleted node is left a singleton, size 1.
-    """
-    n = params.n
-    *draw, dead = _batch_draw(params, d, rng, keys)
-    u, v = union_arcs(params, *draw)
-    nodes = len(keys) * n
-    if d:
-        alive = np.ones(nodes, dtype=bool)
-        starts = np.arange(len(keys), dtype=np.int64) * n
-        alive[(dead + starts[:, None]).ravel()] = False
-        # an arc with a deleted end becomes a self-loop, so a deleted node
-        # is left a singleton, never larger than a survivor's component
-        v = np.where(alive[u] & alive[v], v, u)
-    return _sizes_per_graph(n, nodes, u, v)
+    """Row b, entry i: the size of trial b's component whose smallest node is i, else 0,
+    binned from _batch_labels (a deleted node has size 1).  C02 reads these rows."""
+    labels = _batch_labels(params, d, rng, keys)
+    return np.bincount(labels, minlength=labels.size).reshape(-1, params.n)
 
 
-def _sizes_per_graph(n, nodes, u, v) -> np.ndarray:
-    """_batch_sizes' rows for a union of graphs b on nodes b*n.. with arcs (u, v)."""
-    return np.bincount(component_labels(nodes, u, v), minlength=nodes).reshape(-1, n)
+def _cmax_per_graph(n, survivors, labels) -> np.ndarray:
+    """The cmax of each graph b, on nodes b*n.., of a union with these
+    component_labels and this many survivors a graph.  Node b*n is graph
+    b's smallest node, so its label is b*n; let c count the labels equal
+    to it.  A component holding more than half the survivors is the unique
+    largest, so where 2c > survivors, c is the cmax; the rest are binned."""
+    rows = labels.reshape(-1, n)
+    giant = rows == rows[:, :1]  # a lone row counts faster flat
+    cmax = giant.sum(axis=1) if len(rows) > 1 else np.array([np.count_nonzero(giant)])
+    if 2 * cmax.min() <= survivors:
+        small = 2 * cmax <= survivors
+        cmax[small] = np.bincount(labels, minlength=labels.size).reshape(-1, n)[small].max(axis=1)
+    return cmax
 
 
 def _run_block(args):
+    """The cmax of trials lo..hi-1 of one point, batch by batch: read from
+    node 0's component, binned where it is no strict majority (_cmax_per_graph)."""
     params, d, master_seed, point_index, lo, hi = args
     rng = np.random.Generator(np.random.Philox(0))  # rekeyed before every trial
-    return np.concatenate([_batch_sizes(params, d, rng, keys).max(axis=1)
+    return np.concatenate([_cmax_per_graph(params.n, params.n - d,
+                                           _batch_labels(params, d, rng, keys))
                            for keys in key_batches(master_seed, point_index, lo, hi, params.n)])
 
 
@@ -759,11 +773,11 @@ class CouplingReport:
 
 def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
     """Draw matched pairs (two-type base, coupled r-type extension) and
-    count violations of edge containment and of cmax monotonicity.
-    Both counts must come out 0: the extension never removes an edge.
-    Containment is checked on arcs, which implies it for edges.  Pair t
-    draws what trial_stream gives for (seed, 0, t), from one rekeyed
-    generator (key_batches); pairs are labeled in batches.
+    count violations of edge containment and of cmax monotonicity, which
+    must both come out 0: the extension never removes an edge.  Arcs are
+    checked, which covers edges.  Pair t draws what trial_stream gives
+    for (seed, 0, t) from one rekeyed generator (key_batches).  Pairs are
+    labeled in batches and read as the sweep reads them (_cmax_per_graph).
     """
     if target.r < 2:
         raise ParameterError("coupling target needs at least two classes")
@@ -783,7 +797,7 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
         offset = np.repeat(np.arange(0, nodes, n), [src.size for src, _ in arcs])
         u = np.concatenate([src for src, _ in arcs]) + offset
         v = np.concatenate([dst for _, dst in arcs]) + offset
-        cmax.append(_sizes_per_graph(n, nodes, u, v).max(axis=1))
+        cmax.append(_cmax_per_graph(n, n, component_labels(nodes, u, v)))
         # a base arc must come back n nodes on, in its extension
         key = np.sort(u * nodes + v)
         u = key // nodes

@@ -289,31 +289,33 @@ def _distinct_columns(take, rows):
             bad = bad[(rows[bad, :j] == rows[bad, j:j + 1]).any(axis=1)]
 
 
-def _first_draw(params: GraphParams, rng, spare=None):
-    """draw_trial's first calls: the type uniforms and the first integers call.
+def _class_counts(params: GraphParams, x) -> tuple[int, ...]:
+    """The class sizes of class_nodes(params, x), counted without listing the nodes."""
+    # Python numbers throughout: numpy's own scalars compare and add slower
+    above = [params.n] + [int(np.count_nonzero(x >= e)) for e in params.cum_probs[:-1].tolist()]
+    above.append(0)
+    return tuple([above[t] - above[t + 1] for t in range(params.r)])
 
-    Returns (x, counts, head, rows, tail).  x = rng.random(n) are the type
-    uniforms and counts the class sizes they give, a tuple (the sizes
-    of class_nodes(params, x)).  The call draws the rows of class
-    f, the first class with k >= 2 picks, in one flat array; f is
-    params._first_rows, 1 when class 0 makes single picks, and then
-    class 0's picks (head) come first in the same call.  spare(counts),
-    when given, is a number of further raw picks that the same call
-    draws after the rows (tail; empty without spare).  With a spare the
-    call draws int32, which consumes the stream as int64 does, in half
-    the memory of a batch's spares; without one it draws int64.
+
+def _first_draw(params: GraphParams, rng, counts, spare=None):
+    """draw_trial's first integers call, made right after the type uniforms
+    that gave the class sizes counts; returns (head, rows, tail).
+
+    The call draws the rows of class f, the first class with k >= 2
+    picks, in one flat array; f is params._first_rows, 1 when class 0
+    makes single picks, and then class 0's picks (head) come first in
+    the same call.  spare, when given, is a number of further raw picks
+    that the same call draws after the rows (tail; empty without spare).
+    With a spare the call draws int32, which consumes the stream as int64
+    does, in half the memory of a batch's spares; without one, int64.
     """
     n, f = params.n, params._first_rows
-    x = rng.random(n)
-    # Python numbers throughout: numpy's own scalars compare and add slower
-    above = [n] + [int(np.count_nonzero(x >= e)) for e in params.cum_probs[:-1].tolist()] + [0]
-    counts = tuple([above[t] - above[t + 1] for t in range(params.r)])
     lead = counts[0] if f else 0
     size = lead + counts[f] * params.type_selections[f]
-    more, dtype = (spare(counts), np.int32) if spare else (0, np.int64)
+    more, dtype = (spare, np.int32) if spare is not None else (0, np.int64)
     picks = (rng.integers(0, n - 1, size=size + more, dtype=dtype) if size + more
              else np.empty(0, dtype=dtype))
-    return x, counts, picks[:lead], picks[lead:size], picks[size:]
+    return picks[:lead], picks[lead:size], picks[size:]
 
 
 def draw_trial(params: GraphParams, rng):
@@ -337,12 +339,24 @@ def draw_trial(params: GraphParams, rng):
     integers call (through _first_draw's spare) and run the redraw
     rounds of a whole batch at once when no node is deleted: its picks
     equal these.  Both test rows for repeats with _rows_with_repeats.
-    This function stays the per-graph path (construct_r_type, the
-    coupling, and the engine's lone trials, batches with deletions and
-    fallback) and the engine's reference.
+    This function is the engine's reference, and draws its batches with
+    deletions and fallback.  _draw_classes draws the same and returns the
+    class nodes in place of x, for construct_r_type and lone trials.
     """
+    x = rng.random(params.n)
+    return x, _picks(params, rng, _class_counts(params, x))
+
+
+def _draw_classes(params: GraphParams, rng):
+    """draw_trial's draw as (class_nodes of its uniforms, blocks), nodes found once."""
+    nodes = class_nodes(params, rng.random(params.n))
+    return nodes, _picks(params, rng, [c.size for c in nodes])
+
+
+def _picks(params: GraphParams, rng, counts):
+    """draw_trial's blocks, drawn right after uniforms with these class counts."""
     n, ks, f = params.n, params.type_selections, params._first_rows
-    x, counts, head, raw, _ = _first_draw(params, rng)
+    head, raw, _ = _first_draw(params, rng, counts)
     take = _fresh_picks(rng, n)
     blocks = [head] if f else []
     for t in range(f, params.r):
@@ -354,7 +368,7 @@ def draw_trial(params: GraphParams, rng):
         else:
             _redraw_repeats(take, raw.reshape(-1, ks[t]), n)
         blocks.append(raw)
-    return x, blocks
+    return blocks
 
 
 def draw_deleted(n, d, rng) -> np.ndarray:
@@ -377,8 +391,9 @@ def union_arcs(params: GraphParams, nodes, blocks, counts=None) -> tuple[np.ndar
     at its offset b*n; it is None for one draw, which needs no offset.
     This is the one place that applies the self-avoiding shift: node i
     picks p + (p >= i), and with the offset o = b*n that is q + (q >= src)
-    for q = p + o and src = i + o.  Arcs come class by class and are not
-    deduplicated: repeated and mutual picks do not change the components.
+    for q = p + o and src = i + o, applied in place to the concatenated
+    blocks.  Arcs come class by class and are not deduplicated: repeated
+    and mutual picks do not change the components.
     """
     ks = params.type_selections
     src = np.concatenate([np.repeat(node, k) if k > 1 else node for k, node in zip(ks, nodes)])
@@ -386,15 +401,16 @@ def union_arcs(params: GraphParams, nodes, blocks, counts=None) -> tuple[np.ndar
     if counts is not None:
         starts = np.arange(0, len(counts) * params.n, params.n)
         # arcs run class by class, and within a class draw by draw
-        dst +=np.repeat(np.tile(starts, params.r), (counts * ks).T.ravel())
-    return src, dst + (dst >= src)
+        dst += np.repeat(np.tile(starts, params.r), (counts * ks).T.ravel())
+    dst += dst >= src
+    return src, dst
 
 
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:
     """Draw one graph from the r-class ensemble with the Generator rng."""
-    x, blocks = draw_trial(params, _generator(rng))
+    classes, blocks = _draw_classes(params, _generator(rng))
     types = np.empty(params.n, dtype=np.int64)
-    for t, nodes in enumerate(class_nodes(params, x)):
+    for t, nodes in enumerate(classes):
         types[nodes] = t
     return KoutGraph(params, types, tuple(blocks))
 

@@ -10,7 +10,7 @@ from koutlab.component_analysis import (ComponentReport, _reference_sizes,
                                         connected_components_bfs,
                                         cut_range_implication,
                                         has_cut_in_range, is_cut)
-from koutlab.experiments import _sizes_per_graph
+from koutlab.experiments import _cmax_per_graph
 from koutlab.graph_model import (construct_r_type, delete_random_nodes,
                                  two_type_params)
 from koutlab.oracle import exhaustive_event_probability
@@ -157,9 +157,11 @@ def test_component_labels_on_disjoint_unions_of_different_depths():
     u, v = np.concatenate(us), np.concatenate(vs)
     order = rng.permutation(u.size)
     _labels_match_on_arcs(n * graphs, u[order], v[order])
-    rows = _sizes_per_graph(n, n * graphs, u, v)
-    assert rows.max(axis=1).tolist() == [s[0] for s in sizes]
+    labels = component_labels(n * graphs, u, v)
+    rows = np.bincount(labels, minlength=n * graphs).reshape(-1, n)
     assert [tuple(sorted(row[row > 0].tolist(), reverse=True)) for row in rows] == sizes
+    # the permuted ids put node b*n in the giant of some graphs and not others
+    assert _cmax_per_graph(n, n, labels).tolist() == [s[0] for s in sizes]
 
 
 @pytest.mark.parametrize("n,mu,k,d", [

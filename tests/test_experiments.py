@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import json
 from dataclasses import replace
 
@@ -7,9 +8,9 @@ import pytest
 
 from koutlab import ParameterError
 from koutlab import experiments
-from koutlab.component_analysis import (CutRangeImplication, connected_components,
-                                        connected_components_bfs, cut_range_implication,
-                                        has_cut_in_range)
+from koutlab.component_analysis import (CutRangeImplication, component_labels,
+                                        connected_components, connected_components_bfs,
+                                        cut_range_implication, has_cut_in_range)
 from koutlab.experiments import (ExperimentConfig, collect_cmax,
                                  coupling_experiment, plausibility_floor,
                                  render_csv, resolve_workers, run_point,
@@ -119,17 +120,17 @@ _SHARED_IDS = ["n30", "n30-d3", "3-class", "n40-K12", "n40-K8-d3", "n6-K5-d2",
                "n40-K25-columns", "3-class-middle-d2"]
 
 
-def _batched_rows(params, d, trials):
+def _batched_rows(params, d, trials, seed=31, point=2):
     rng = np.random.Generator(np.random.Philox(0))
     return np.concatenate([experiments._batch_sizes(params, d, rng, keys)
-                           for keys in experiments.key_batches(31, 2, 0, trials, params.n)])
+                           for keys in experiments.key_batches(seed, point, 0, trials, params.n)])
 
 
-def _assert_rows_match_per_graph_reference(params, d, rows):
+def _assert_rows_match_per_graph_reference(params, d, rows, seed=31, point=2):
     # each row against its own graph, drawn from its own stream and sized
     # by breadth-first search; C02 reads these rows
     for t, row in enumerate(rows):
-        stream = trial_stream(31, 2, t)
+        stream = trial_stream(seed, point, t)
         g = construct_r_type(params, stream)
         view = delete_random_nodes(g, d, stream)[1] if d else g
         dead = sorted(view.deleted)
@@ -190,6 +191,91 @@ def test_batch_sizes_fall_back_without_spares(monkeypatch, params, trials):
     rows = _batched_rows(params, 0, trials)
     assert fallbacks and set(fallbacks) == {"run-out"}
     _assert_rows_match_per_graph_reference(params, 0, rows)
+
+
+# one trial a batch (n > _BATCH_NODES / 2); the seeds of the d=7 cases
+# give a trial 0 whose node 0 is deleted (155) or survives in a component
+# of two (90), so the sweep bins that trial's labels
+_LONE_CASES = [
+    (two_type_params(2049, 0.9, 2), 0, 3, 31),
+    (two_type_params(2049, 0.9, 2), 7, 2, 155),
+    (two_type_params(4097, 0.9, 2), 0, 2, 31),
+    (two_type_params(4097, 0.9, 2), 7, 2, 90),
+    (GraphParams(n=2049, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)), 0, 3, 31),
+    (GraphParams(n=2049, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)), 7, 2, 31),
+]
+
+
+@pytest.mark.parametrize("params,d,trials,seed", _LONE_CASES,
+                         ids=["n2049", "n2049-d7", "n4097", "n4097-d7", "3-class-n2049",
+                              "3-class-n2049-d7"])
+def test_lone_trials_match_per_graph_reference(params, d, trials, seed):
+    batches = experiments.key_batches(seed, 0, 0, trials, params.n)
+    assert [len(keys) for keys in batches] == [1] * trials
+    got = collect_cmax(params, d, trials, seed=seed, workers=1)
+    assert got.dtype == np.int64
+    assert np.array_equal(got, _per_trial_cmax(params, d, trials, seed))
+    rows = _batched_rows(params, d, trials, seed, 0)
+    _assert_rows_match_per_graph_reference(params, d, rows, seed, 0)
+    if seed != 31:  # node 0's component holds at most half the survivors
+        assert 2 * rows[0, 0] <= params.n - d
+
+
+def _union_labels(n, graphs):
+    """component_labels of hand-built graphs b on nodes b*n.., each given as
+    (arcs, deleted nodes); an arc with a deleted end is left out."""
+    u, v = [], []
+    for b, (arcs, dead) in enumerate(graphs):
+        kept = [(x, y) for x, y in arcs if x not in dead and y not in dead]
+        u += [x + b * n for x, _ in kept]
+        v += [y + b * n for _, y in kept]
+    return component_labels(len(graphs) * n, np.array(u, dtype=np.int64),
+                            np.array(v, dtype=np.int64))
+
+
+_PATH_0_TO_4 = ([(0, 1), (1, 2), (2, 3), (3, 4)], ())
+_PATH_1_TO_5 = ([(1, 2), (2, 3), (3, 4), (4, 5)], ())
+
+
+@pytest.mark.parametrize("graphs,d,want,binned", [
+    ([_PATH_0_TO_4], 0, [5], []),  # node 0 in the giant
+    ([_PATH_1_TO_5], 0, [5], [0]),  # node 0 a singleton, the giant elsewhere
+    # node 0 deleted: its arcs would have joined {1, 2} to {3, 4, 5, 6}
+    ([([(0, 1), (1, 2), (0, 3), (3, 4), (4, 5), (5, 6)], (0,))], 1, [4], [0]),
+    # node 0 deleted and the giant a strict majority elsewhere
+    ([([(0, 1), (1, 2), (2, 3), (3, 4), (4, 5)], (0,))], 1, [5], [0]),
+    # exactly one row of a batch falls back
+    ([_PATH_0_TO_4, _PATH_1_TO_5, ([(0, 7), (7, 6), (6, 5), (5, 4), (4, 3)], ())], 0,
+     [5, 5, 6], [1]),
+    # two equal halves: 2c == n - d, so node 0's half is binned
+    ([([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)], ())], 0, [4], [0]),
+    ([([(0, 1), (1, 2), (3, 4), (4, 5), (5, 6), (6, 7)], (6, 7))], 2, [3], [0]),
+    # one survivor fewer: node 0's half is a strict majority
+    ([([(0, 1), (1, 2), (2, 3), (4, 5), (5, 6), (6, 7)], (7,))], 1, [4], []),
+], ids=["giant-holds-0", "0-singleton", "0-deleted", "0-deleted-giant", "one-row-bins",
+        "equal-halves", "equal-halves-d2", "just-past-half"])
+def test_cmax_rule_on_hand_built_arcs(monkeypatch, graphs, d, want, binned):
+    # the labels -> cmax step on 8-node graphs; np.bincount is spied on and
+    # spoils every row outside binned, so a cmax read from such a row shows
+    n = 8
+    labels = _union_labels(n, graphs)
+    calls, bincount = [], np.bincount
+
+    def spied(x, minlength=0):
+        calls.append(x.size)
+        bins = bincount(x, minlength=minlength).reshape(-1, n)
+        bins[np.setdiff1d(np.arange(len(bins)), binned)] = n + 1
+        return bins.ravel()
+
+    with monkeypatch.context() as m:
+        m.setattr(np, "bincount", spied)
+        got = experiments._cmax_per_graph(n, n - d, labels)
+    assert got.tolist() == want
+    assert len(calls) == (1 if binned else 0)
+    rows = np.bincount(labels, minlength=labels.size).reshape(-1, n)
+    for row, (_, dead) in zip(rows, graphs):
+        row[list(dead)] = 0
+    assert rows.max(axis=1).tolist() == want
 
 
 # the trials of test_batch_draw_is_draw_trial that exhaust their spare blocks
@@ -261,15 +347,19 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
 
 
 def test_lone_trials_keep_to_draw_trial(monkeypatch):
-    # a batch of one trial has no rounds to share and draws no spare block
+    # a batch of one trial has no rounds to share and draws no spare block:
+    # it never reaches _batch_draw, and its labels are those of the graph
+    # that construct_r_type and delete_random_nodes draw from its stream
+    monkeypatch.setattr(experiments, "_batch_draw", None)
     monkeypatch.setattr(experiments, "_first_rounds", None)
     params = two_type_params(40, 0.5, 12)
     rng = np.random.Generator(np.random.Philox(0))
-    nodes, blocks, counts, dead = experiments._batch_draw(params, 3, rng, trial_keys(31, 2, 7, 8))
-    want_nodes, want_blocks, want_dead = _per_trial_draws(params, 3, 7, 8)
-    assert counts is None and np.array_equal(dead, want_dead)
-    assert all(np.array_equal(a, b) for a, b in zip(nodes, want_nodes, strict=True))
-    assert all(np.array_equal(a, b) for a, b in zip(blocks, want_blocks, strict=True))
+    for d, t in itertools.product((0, 3), range(7, 12)):
+        labels = experiments._batch_labels(params, d, rng, trial_keys(31, 2, t, t + 1))
+        stream = trial_stream(31, 2, t)
+        g = construct_r_type(params, stream)
+        view = delete_random_nodes(g, d, stream)[1] if d else g
+        assert np.array_equal(labels, component_labels(params.n, *view.edge_arrays()))
 
 
 def test_collect_cmax_returns_on_rarely_distinct_rows():
@@ -395,12 +485,17 @@ _SWEEP_HASHES = [
     (dict(sweep_param="d", sweep_values=(0, 20), n=5000, mu=0.9, k=2, trials=30),
      "98b3ce8988cfede1d1a3cb4e99e23c25d57ebf423f17705a9ebd3a930560d145",
      "ae74290c234996889037aba6cf91243f5eb5716b9e4ce7fcd186b0f93c70e833"),
+    # lone trials at K in {2, 5}, recorded before a lone trial's cmax came
+    # from node 0's component
+    (dict(sweep_param="K", sweep_values=(2, 5), n=4097, mu=0.9, trials=30),
+     "ff59bbc200d9db0da172acbaf91820f8ca4e7436d475614c9f3692e53ccd51ba",
+     "6af61db268f065b44b70039659b61710654c5f5541c733c96d31d70d410d7968"),
 ]
 
 
 @pytest.mark.parametrize("conf,csv_sha,json_sha", _SWEEP_HASHES,
                          ids=["c10-mu", "d-sweep", "n40-K-sweep", "n40-K8-d-sweep",
-                              "n5000-d-sweep"])
+                              "n5000-d-sweep", "n4097-K-sweep"])
 def test_sweep_bytes_match_recorded_hashes(tmp_path, conf, csv_sha, json_sha):
     run_sweep(ExperimentConfig(seed=20240819, out=str(tmp_path / "s"), **conf), workers=1)
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == csv_sha

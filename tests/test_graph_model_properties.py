@@ -12,8 +12,9 @@ union_arcs decodes a batch of B draws from the engine's per-class node
 lists as one graph on B*n nodes.  Cases draw 1-6 trials at n in [3, 70]
 with two or three classes, the first of one or two picks, and check the
 batch's arcs, class by class, against each trial's own graph
-(construct_r_type on its trial_stream) moved to node b*n.  A lone trial
-passes no class counts, so B = 1 and B > 1 take separate offset paths.
+(construct_r_type on its trial_stream) moved to node b*n.  Every batch,
+one trial included, passes its class counts; each graph's own arcs take
+union_arcs' path without them.
 """
 
 import numpy as np
@@ -78,7 +79,7 @@ def test_union_arcs_of_a_batch_are_each_draws_arcs_moved(case):
     rng = np.random.Generator(np.random.Philox(0))
     keys = trial_keys(seed, 0, 0, trials)
     nodes, blocks, counts, _ = experiments._batch_draw(params, d, rng, keys)
-    assert (counts is None) == (trials == 1)
+    assert counts.shape == (trials, params.r)
     src, dst = union_arcs(params, nodes, blocks, counts)
     graphs = [construct_r_type(params, trial_stream(seed, 0, b)) for b in range(trials)]
     want_src, want_dst = [], []
