@@ -20,17 +20,15 @@ from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
-from operator import mul
 from pathlib import Path
 
 import numpy as np
 
 from .component_analysis import component_labels
 from .errors import ParameterError, _ints, _items, _number, _seeds, _trial_count
-from .graph_model import (GraphParams, _class_counts, _distinct_columns, _draw_classes,
-                          _first_draw, _read_d, _redraw_repeats, _rows_with_repeats, class_nodes,
-                          construct_r_type, couple_extend, draw_deleted, draw_trial,
-                          two_type_params, union_arcs)
+from .graph_model import (GraphParams, _class_counts, _draw_classes, _first_draw, _read_d,
+                          _rows_with_repeats, class_nodes, construct_r_type, couple_extend,
+                          draw_deleted, draw_trial, two_type_params, union_arcs)
 from . import bounds
 from .bounds import _KIND_ALIASES
 from .oracle import _MAX_CLOSED_FORM_N, union_bound_sum
@@ -165,87 +163,33 @@ def key_batches(master_seed, point_index, lo, hi, n):
             yield keys[b:b + step]
 
 
-# A trial's spare block holds the expected count of the picks it needs
-# after its first round plus this many standard deviations of that count
-# (and one row more, _spare_sizer).
+# A trial's spare block holds the expected count of the picks its heavy
+# rows take after their first draw plus this many standard deviations of
+# that count (and one row more, _spare_sizer).
 _SPARE_SIGMAS = 4
-
-
-def _row_pick_moments(params) -> list[tuple[float, float]]:
-    """Per class, (mean, variance) of the raw picks one row takes until
-    it is distinct under draw_trial's rule, its first k picks included.
-
-    A whole-row class draws Geometric(p) rows of k picks, p its
-    GraphParams._row_accept.  A column-filled class draws its k picks
-    and then, at column j, a Geometric number of redraws that each
-    repeat one of the j earlier picks with probability q = j/(n-1):
-    mean q/(1-q), variance q/(1-q)**2."""
-    out = []
-    for k, p, columns in zip(params.type_selections, params._row_accept, params._fills_columns):
-        if columns:
-            q = np.arange(1, k) / (params.n - 1)
-            out.append((k + float((q / (1 - q)).sum()), float((q / (1 - q) ** 2).sum())))
-        else:
-            out.append((k / p, k * k * (1 - p) / (p * p)))
-    return out
 
 
 @lru_cache(maxsize=16)
 def _spare_sizer(params):
     """The size of a trial's spare block (_batch_draw) as a function of its
-    class counts (a tuple): the picks it takes after _first_draw's call,
-    that is the redraws of that call's rows, whether or not they repeat,
-    and every pick of the later classes (_row_pick_moments), in
-    expectation plus _SPARE_SIGMAS standard deviations, plus one row of
-    that call's class: the need comes in rows, and at small means the
-    deviations fall short of the next one.  The size is rounded up to
-    whole rows of that class, k-slices, so that a batch's spare blocks
-    line up as one table of slices (_slice_rounds).  Sizes are kept by
-    counts, which take few values."""
-    f, k = params._first_rows, params.type_selections[params._first_rows]
-    moments = [(0.0, 0.0)] * f + _row_pick_moments(params)[f:]
-    means, variances = (list(m) for m in zip(*moments))
-    means[f] -= k  # the first k picks of each row come with the rows
+    count of heavy rows, the class-1 rows of the (1, K) ensemble: the
+    picks those rows take after _first_draw's call, that is their
+    redraws, whether or not they repeat.  A row is redrawn whole until it
+    is distinct, so it draws Geometric(p) rows of k picks, p its
+    GraphParams._row_accept: k/p - k picks after its first k in mean,
+    k²(1-p)/p² in variance.  The size is the mean plus _SPARE_SIGMAS
+    standard deviations, plus one row: the need comes in rows, and at
+    small means the deviations fall short of the next one.  It is rounded
+    up to whole rows, k-slices, so that a batch's spare blocks line up as
+    one table of slices (_slice_rounds).  Sizes are kept by count."""
+    k, p = params.type_selections[1], params._row_accept[1]
+    mean, variance = k / p - k, k * k * (1 - p) / (p * p)
 
     @lru_cache(maxsize=4096)
-    def size(counts):
-        need = k + math.ceil(sum(map(mul, counts, means))
-                             + _SPARE_SIGMAS * math.sqrt(sum(map(mul, counts, variances))))
+    def size(rows):
+        need = k + math.ceil(rows * mean + _SPARE_SIGMAS * math.sqrt(rows * variance))
         return -(-need // k) * k  # whole k-slices
     return size
-
-
-class _Spares:
-    """The batch's spare blocks in one array of dtype, and a cursor into
-    each (blocks[b] is trial b's).
-
-    taker(owner) returns the take of _redraw_repeats and _distinct_columns
-    for one class's rows, owner[i] being the trial of row i: each listed
-    row gets the next width picks of its trial's block, a trial's rows
-    in row order.  A trial whose block runs out is marked failed, and its
-    rows are served no more.
-    """
-
-    def __init__(self, blocks, dtype):
-        size = np.array([block.size for block in blocks])
-        self.flat = np.concatenate(blocks, dtype=dtype)
-        self.end = np.cumsum(size)
-        self.start = self.end - size
-        self.pos = self.start.copy()
-        self.failed = np.zeros(size.size, dtype=bool)
-
-    def taker(self, owner):
-        def take(rows, width):
-            trial = owner[rows]  # non-decreasing: rows are listed in order
-            wanted = np.bincount(trial, minlength=self.pos.size) * width
-            self.failed |= self.pos + wanted > self.end
-            served = ~self.failed[trial]
-            rows, trial = rows[served], trial[served]
-            # a trial's i-th listed row starts i*width past its cursor
-            first = self.pos[trial] + (np.arange(trial.size) - np.searchsorted(trial, trial)) * width
-            self.pos += wanted
-            return rows, self.flat[first[:, None] + np.arange(width)]
-        return take
 
 
 # _slice_rounds tests this many spare slices for repeats at a time, so
@@ -253,48 +197,50 @@ class _Spares:
 _SLICE_CHUNK = 2048
 
 
-def _slice_rounds(spare, owner, rows, n, bad):
-    """_redraw_repeats(spare.taker(owner), rows, n) for the batch's first
-    class with k >= 2 picks, whose rows take the first picks of each
-    spare block, bad listing its rows that hold a repeat.
+def _slice_rounds(spares, owner, rows, n, bad):
+    """_redraw_repeats on the batch's heavy rows, each trial's redraws
+    taken in turn from its spare block (spares[b] is trial b's), owner[i]
+    being the trial of row i and bad listing the rows that hold a repeat.
+    Returns the mask of the trials whose block ran out; their rows are
+    left as they are.
 
-    Every block is whole k-slices (_spare_sizer), so spare.flat is a
+    Every block is whole k-slices (_spare_sizer), so the blocks make one
     table of slices, and each slice is tested for a repeat once, before
     the rounds.  A round gives each bad row the next slice of its trial,
     a trial's rows in row order, and keeps the rows whose slice is
     marked (holds a repeat), still in row order.  So a trial's slices go
     out in block order, first to its w bad rows and then to the rows of
     its marked slices in turn: the row of its j-th marked slice takes
-    the block's slice w + j next.  The rounds therefore move cursors along that
-    successor of each slice, worked out once for the batch.  Each row
-    ends on an unmarked slice of its own, so a trial runs out, by the
-    taker's rule, when its block holds fewer than w unmarked slices.
-    One gather writes each row's last slice into rows.
+    the block's slice w + j next.  The rounds therefore move cursors
+    along that successor of each slice, worked out once for the batch.
+    Each row ends on an unmarked slice of its own, so a trial runs out
+    when its block holds fewer than w unmarked slices.  One gather
+    writes each row's last slice into rows.
     """
-    if not bad.size:
-        return
     k = rows.shape[1]
-    table = spare.flat.reshape(-1, k)
+    # the table holds every raw pick, each in [0, n-1), in the least dtype
+    table = np.concatenate(spares, dtype=np.min_scalar_type(-n)).reshape(-1, k)
     marked = np.zeros(len(table), dtype=bool)
     for a in range(0, len(table), _SLICE_CHUNK):
         marked[a + _rows_with_repeats(table[a:a + _SLICE_CHUNK], n)] = True
-    start, end = spare.pos // k, spare.end // k  # each trial's slices
+    size = np.array([spare.size // k for spare in spares])
+    end = np.cumsum(size)
+    start = end - size  # each trial's slices
     trial = owner[bad]  # non-decreasing: rows are listed in order
-    wanted = np.bincount(trial, minlength=start.size)
+    wanted = np.bincount(trial, minlength=size.size)
     seen = np.concatenate(([0], np.cumsum(marked)))  # seen[s]: marked slices before s
-    spare.failed |= (end - start) - (seen[end] - seen[start]) < wanted
+    failed = size - (seen[end] - seen[start]) < wanted
     # trial b's marked slice s is followed by slice start[b] + wanted[b]
     # + (its rank among b's marked slices); an unmarked slice is final
-    after = np.repeat(start + wanted - seen[start], end - start) + seen[:-1]
+    after = np.repeat(start + wanted - seen[start], size) + seen[:-1]
     after = np.where(marked, after, np.arange(len(table)))
     cursor = np.repeat(start - np.cumsum(wanted) + wanted, wanted) + np.arange(trial.size)
-    served = ~spare.failed[trial]
-    bad, trial, cursor = bad[served], trial[served], cursor[served]
+    served = ~failed[trial]
+    bad, cursor = bad[served], cursor[served]
     while marked[cursor].any():
         cursor = after[cursor]
     rows[bad] = table[cursor]
-    np.maximum.at(start, trial, cursor + 1)  # past the last slice its rows took
-    spare.pos = start * k
+    return failed
 
 
 def _trial_by_trial(params, d, rng, keys):
@@ -316,93 +262,73 @@ def _trial_by_trial(params, d, rng, keys):
 
 
 def _first_rounds(params, rng, keys):
-    """_batch_draw's loop over the trials.  Returns (nodes, blocks,
-    counts, spares, bad): nodes lists each class's nodes (class_nodes,
-    on the batch's uniforms), blocks holds the _first_draw picks, counts
-    the (B, r) class sizes, spares[b] trial b's spare block, drawn by
-    the same integers call as its first rows, and bad the repeating rows
-    of blocks[-1], the first class with k >= 2."""
-    n, f = params.n, params._first_rows
-    k, size = params.type_selections[f], _spare_sizer(params)
+    """_batch_draw's loop over the trials of a (1, K) batch.  Returns
+    (nodes, blocks, counts, spares, bad): nodes lists each class's nodes
+    (class_nodes, on the batch's uniforms), blocks the single picks and
+    the first draw of the heavy rows (_first_draw), counts the (B, 2)
+    class sizes, spares[b] trial b's spare block, drawn by the same
+    integers call as its first rows, and bad the heavy rows that hold a
+    repeat."""
+    n, k, size = params.n, params.type_selections[1], _spare_sizer(params)
     xs, counts, heads, rows, spares = [], [], [], [], []
     for key in keys:
         _rekey(rng, key)
         x = rng.random(n)
         c = _class_counts(params, x)
-        head, picks, spare = _first_draw(params, rng, c, size(c))
+        head, picks, spare = _first_draw(params, rng, c, size(c[1]))
         xs.append(x)
         counts.append(c)
         heads.append(head)
         rows.append(picks)
         spares.append(spare)
-    blocks = [np.concatenate(heads)] * f + [np.concatenate(rows)]
-    bad = _rows_with_repeats(blocks[f].reshape(-1, k), n)
+    blocks = [np.concatenate(heads), np.concatenate(rows)]
+    bad = _rows_with_repeats(blocks[1].reshape(-1, k), n)
     return class_nodes(params, np.concatenate(xs)), blocks, np.array(counts), spares, bad
 
 
 def _batch_draw(params, d, rng, keys):
     """draw_trial and draw_deleted for the trials with these keys, drawn
-    as they draw them, with the redraw rounds run on the whole batch
-    when d == 0.
+    as they draw them, with the redraw rounds run on the whole batch for
+    the sweep's ensemble when d == 0.
 
     Returns (nodes, blocks, counts, dead), union_arcs' input and the
     (B, d) deleted nodes: each class's nodes as flat ids b*n + i, trial
     by trial, worked out once for the batch from its type uniforms
     (class_nodes), each class's picks concatenated in trial order, and
-    the (B, r) class counts.  A batch with d > 0, whose deleted nodes
-    must be drawn from each stream right after the picks it used, is
-    drawn trial by trial (_trial_by_trial).
+    the (B, r) class counts.
 
-    Otherwise one generator serves every trial.  Per trial it is rekeyed
-    and makes draw_trial's first calls (_first_draw, in _first_rounds):
-    the type uniforms and the integers call of the first class with
-    k >= 2 (with the single picks ahead of it).  Calls with one bound
-    consume the stream in turn, whatever their size and int dtype, so
-    the picks draw_trial would draw after that call are the next ones of
-    the stream, and the same call draws them as the trial's spare block:
-    its expected need plus _SPARE_SIGMAS standard deviations, sized from
-    its class counts alone and rounded up to whole k-slices of that
-    class (_spare_sizer).  A batch with no repeated first row and no
-    later-class row is done.  Otherwise the first rows' bad rows start
-    that class's rounds, which run on slice ids: each slice of the
-    batch's blocks is tested for a repeat once, and a round only moves
-    cursors (_slice_rounds).  The other redraw rounds (_redraw_repeats,
-    _distinct_columns) and the later classes' first rows are then
-    carved from the blocks for all trials at once, class by class, one
-    cursor per trial (_Spares).  A trial whose block runs out is drawn
-    again trial by trial.
+    Rounds are shared only for the two-class (1, K) ensemble whose heavy
+    rows are redrawn whole (not GraphParams._fills_columns), the one
+    that sweeps sample, and only at d == 0.  Every other batch is drawn
+    trial by trial (_trial_by_trial): with d > 0 each trial's deleted
+    nodes must be drawn from its stream right after the picks it used.
+
+    A shared batch has one generator serve every trial.  Per trial it is
+    rekeyed and makes draw_trial's first calls (_first_draw, in
+    _first_rounds): the type uniforms and the integers call of the
+    single picks and the heavy rows.  Calls with one bound consume the
+    stream in turn, whatever their size and int dtype, so the picks
+    draw_trial would draw after that call are the next ones of the
+    stream, and the same call draws them as the trial's spare block: its
+    expected need plus _SPARE_SIGMAS standard deviations, sized from its
+    count of heavy rows and rounded up to whole k-slices (_spare_sizer).
+    A batch with no repeated heavy row is done.  Otherwise the bad rows'
+    rounds run on slice ids: each slice of the batch's blocks is tested
+    for a repeat once, and a round only moves cursors (_slice_rounds).
+    A trial whose block runs out is drawn again trial by trial.
     """
-    if d:
+    if d or params.r > 2 or not params._first_rows or params._fills_columns[1]:
         return _trial_by_trial(params, d, rng, keys)
-    n, ks, first = params.n, params.type_selections, params._first_rows
+    k = params.type_selections[1]
     nodes, blocks, counts, spares, bad = _first_rounds(params, rng, keys)
-    dead = np.empty((len(keys), 0), dtype=np.int64)
-    if not (bad.size or counts[:, first + 1:].any()):  # no redraws and no later rows
-        blocks += [np.empty(0, dtype=np.int64)] * (params.r - len(blocks))
-        return nodes, blocks, counts, dead
-    spare = _Spares(spares, np.min_scalar_type(-n))  # holds every raw pick, each in [0, n-1)
-    trials = np.arange(len(keys))
-    for t in range(first, params.r):
-        owner = np.repeat(trials, counts[:, t])
-        if t == first:
-            block = blocks[t].reshape(-1, ks[t])
-        else:
-            block = np.zeros((owner.size, ks[t]), dtype=np.int64)
-            served, picks = spare.taker(owner)(np.arange(owner.size), ks[t])
-            block[served] = picks
-            blocks.append(block.ravel())
-        if params._fills_columns[t]:
-            _distinct_columns(spare.taker(owner), block)
-        elif t == first:
-            _slice_rounds(spare, owner, block, n, bad)
-        else:
-            _redraw_repeats(spare.taker(owner), block, n)
-    for b in np.flatnonzero(spare.failed):
-        _, exact, _, _ = _trial_by_trial(params, 0, rng, keys[b:b + 1])
-        for t in range(first, params.r):
-            at = counts[:b, t].sum() * ks[t]
-            blocks[t][at:at + exact[t].size] = exact[t]
-    return nodes, blocks, counts, dead
+    if bad.size:
+        owner = np.repeat(np.arange(len(keys)), counts[:, 1])
+        for b in np.flatnonzero(_slice_rounds(spares, owner, blocks[1].reshape(-1, k),
+                                              params.n, bad)):
+            _, exact, _, _ = _trial_by_trial(params, 0, rng, keys[b:b + 1])
+            at = counts[:b, 1].sum() * k
+            blocks[1][at:at + exact[1].size] = exact[1]
+    return nodes, blocks, counts, np.empty((len(keys), 0), dtype=np.int64)
 
 
 def _batch_labels(params, d, rng, keys) -> np.ndarray:

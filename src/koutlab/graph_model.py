@@ -251,41 +251,31 @@ def _rows_with_repeats(sel, n) -> np.ndarray:
     return (np.bitwise_count(np.bitwise_or.reduce(bits, axis=0)) < k).nonzero()[0]
 
 
-def _fresh_picks(rng, n):
-    """The take of one generator: each listed row gets width new raw picks
-    from rng, rows in order (see _redraw_repeats)."""
-    return lambda rows, width: (rows, rng.integers(0, n - 1, size=(rows.size, width)))
-
-
-def _redraw_repeats(take, rows, n):
-    """Redraw, in place, every row of raw picks in [0, n-1) that holds a
-    value twice.
-
-    take(bad, width) hands the listed rows width new picks each, in row
-    order, and returns (the rows it served, their picks); a row it does
-    not serve is left as it is (_fresh_picks serves every row).
-    Accepting the first all-distinct draw of a row keeps it uniform over
-    the k-subsets.  Rows are checked before the self-avoiding shift,
-    which is monotone within a row and so keeps repeats as they are.
+def _redraw_repeats(rng, rows, n):
+    """Redraw from rng, in place, every row of raw picks in [0, n-1) that
+    holds a value twice: each round gives the repeating rows new picks,
+    in row order, until none repeats.  Accepting the first all-distinct
+    draw of a row keeps it uniform over the k-subsets.  Rows are checked
+    before the self-avoiding shift, which is monotone within a row and
+    so keeps repeats as they are.
     """
     bad = _rows_with_repeats(rows, n)
     while bad.size:
-        bad, redo = take(bad, rows.shape[1])
+        redo = rng.integers(0, n - 1, size=(bad.size, rows.shape[1]))
         rows[bad] = redo
         bad = bad[_rows_with_repeats(redo, n)]
 
 
-def _distinct_columns(take, rows):
-    """Make every row of raw picks distinct, in place: from column 1 on,
-    each pick that repeats an earlier one of its row is redrawn (take,
-    as in _redraw_repeats, with width 1) until it does not.  Rows end
+def _distinct_columns(rng, rows, n):
+    """Make every row of raw picks in [0, n-1) distinct, in place: from
+    column 1 on, each pick that repeats an earlier one of its row is
+    redrawn from rng, rows in order, until it does not.  Rows end
     uniform over the k-subsets, as with _redraw_repeats, and no pick
     needs more than n-1 redraws in expectation."""
     for j in range(1, rows.shape[1]):
         bad = (rows[:, :j] == rows[:, j:j + 1]).any(axis=1).nonzero()[0]
         while bad.size:
-            bad, redo = take(bad, 1)
-            rows[bad, j] = redo[:, 0]
+            rows[bad, j] = rng.integers(0, n - 1, size=bad.size)
             bad = bad[(rows[bad, :j] == rows[bad, j:j + 1]).any(axis=1)]
 
 
@@ -305,9 +295,11 @@ def _first_draw(params: GraphParams, rng, counts, spare=None):
     picks, in one flat array; f is params._first_rows, 1 when class 0
     makes single picks, and then class 0's picks (head) come first in
     the same call.  spare, when given, is a number of further raw picks
-    that the same call draws after the rows (tail; empty without spare).
-    With a spare the call draws int32, which consumes the stream as int64
-    does, in half the memory of a batch's spares; without one, int64.
+    that the same call draws after the rows (tail; empty without spare):
+    the sweep engine's spare block, which only the (1, K) ensemble draws
+    (experiments._first_rounds).  With a spare the call draws int32,
+    which consumes the stream as int64 does, in half the memory of a
+    batch's spares; without one, int64.
     """
     n, f = params.n, params._first_rows
     lead = counts[0] if f else 0
@@ -334,13 +326,14 @@ def draw_trial(params: GraphParams, rng):
     (GraphParams._fills_columns) redraws single picks instead
     (_distinct_columns).
 
-    The same fact lets the sweep engine (experiments._batch_draw), where
-    trials redraw often, draw every later pick of a trial in its first
-    integers call (through _first_draw's spare) and run the redraw
-    rounds of a whole batch at once when no node is deleted: its picks
-    equal these.  Both test rows for repeats with _rows_with_repeats.
-    This function is the engine's reference, and draws its batches with
-    deletions and fallback.  _draw_classes draws the same and returns the
+    The same fact lets the sweep engine (experiments._batch_draw) draw
+    the redraws of a (1, K) trial whose heavy rows are redrawn whole in
+    its first integers call (through _first_draw's spare) and run the
+    redraw rounds of a whole batch at once when no node is deleted: its
+    picks equal these.  Both test rows for repeats with
+    _rows_with_repeats.  This function is the engine's reference, and
+    draws every other batch (deletions, other ensembles) and each trial
+    whose spare runs out.  _draw_classes draws the same and returns the
     class nodes in place of x, for construct_r_type and lone trials.
     """
     x = rng.random(params.n)
@@ -357,16 +350,15 @@ def _picks(params: GraphParams, rng, counts):
     """draw_trial's blocks, drawn right after uniforms with these class counts."""
     n, ks, f = params.n, params.type_selections, params._first_rows
     head, raw, _ = _first_draw(params, rng, counts)
-    take = _fresh_picks(rng, n)
     blocks = [head] if f else []
     for t in range(f, params.r):
         if t > f:
             size = counts[t] * ks[t]
             raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
         if params._fills_columns[t]:
-            _distinct_columns(take, raw.reshape(-1, ks[t]))
+            _distinct_columns(rng, raw.reshape(-1, ks[t]), n)
         else:
-            _redraw_repeats(take, raw.reshape(-1, ks[t]), n)
+            _redraw_repeats(rng, raw.reshape(-1, ks[t]), n)
         blocks.append(raw)
     return blocks
 
@@ -462,7 +454,7 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
     for t, k in enumerate(target.type_selections[:-1]):
         kept = g2.blocks[0][drawn == t]  # each class-t node's raw pick from g2
         rows = np.column_stack([kept, rng.integers(0, n - 1, size=(kept.size, k - 1))])
-        _distinct_columns(_fresh_picks(rng, n), rows)
+        _distinct_columns(rng, rows, n)
         blocks.append(rows.ravel())
     blocks.append(g2.blocks[1])
     return KoutGraph(target, types, tuple(blocks))

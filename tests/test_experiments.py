@@ -150,8 +150,9 @@ def _assert_rows_match_per_graph_reference(params, d, rows, seed=31, point=2):
 
 def _count_fallbacks(monkeypatch):
     """Why each _trial_by_trial call to come happened: "lone" for a batch
-    of one trial, "deleting" for a batch of several with d > 0, and
-    "run-out" for a trial of a shared batch whose spare block ran out."""
+    of one trial, "by-trial" for a batch of several that shares no rounds
+    (_shares_rounds), and "run-out" for a trial of a shared batch whose
+    spare block ran out."""
     calls, batch = [], [0]
     by_trial, batch_draw = experiments._trial_by_trial, experiments._batch_draw
 
@@ -161,7 +162,7 @@ def _count_fallbacks(monkeypatch):
 
     def counted(params, d, rng, keys):
         calls.append("run-out" if len(keys) < batch[0] else "lone" if len(keys) == 1
-                     else "deleting")
+                     else "by-trial")
         return by_trial(params, d, rng, keys)
 
     monkeypatch.setattr(experiments, "_batch_draw", drawn)
@@ -180,12 +181,11 @@ def test_batch_sizes_match_per_graph_reference(params, d, trials):
     (two_type_params(30, 0.5, 2), 300),
     (two_type_params(40, 0.5, 12), 250),
     (two_type_params(40, 0.5, 8), 250),
-    (_MIDDLE_REDRAWN, 250),
-], ids=["n30", "n40-K12", "n40-K8", "3-class-middle"])
+], ids=["n30", "n40-K12", "n40-K8"])
 def test_batch_sizes_fall_back_without_spares(monkeypatch, params, trials):
-    # with empty spare blocks every trial that redraws, or has later
-    # classes, runs out at once and is drawn again through draw_trial;
-    # spares exist only at d == 0
+    # with empty spare blocks every trial that redraws runs out at once and
+    # is drawn again through draw_trial; spares exist only for the (1, K)
+    # ensemble at d == 0
     fallbacks = _count_fallbacks(monkeypatch)
     monkeypatch.setattr(experiments, "_spare_sizer", lambda params: lambda counts: 0)
     rows = _batched_rows(params, 0, trials)
@@ -296,34 +296,46 @@ def _per_trial_draws(params, d, lo, hi):
             np.stack(dead))
 
 
-# later classes so rare that about a quarter of the 136-trial batches
-# (5 of the 8 drawn here) have no redraw and no class-2 row, so no
-# trial keeps a spare block and the batch runs no rounds
+# later classes so rare that most trials draw single picks only
 _LATER_RARE = GraphParams(n=30, type_probs=(0.99, 0.009999, 1e-6), type_selections=(1, 2, 3))
+# heavy rows so rare that about a quarter of the 136-trial batches (5 of
+# the 8 drawn here) hold no repeated one and so run no rounds
+_MU99 = two_type_params(30, 0.99, 2)
 # the batches that run redraw rounds, where not every batch does
-_ROUNDS_RUN = {(_LATER_RARE, 0): 3}
+_ROUNDS_RUN = {(_MU99, 0): 3}
+
+
+def _shares_rounds(params, d):
+    # the batches of several trials whose redraw rounds _batch_draw runs
+    # together: d == 0 and the (1, K) ensemble with heavy rows redrawn whole
+    return (not d and params.type_selections[0] == 1 and params.r == 2
+            and not params._fills_columns[1])
 
 
 @pytest.mark.parametrize("params,d,trials", _SHARED_CASES + [
     (two_type_params(1000, 0.9, 2), 20, 9),  # four trials a batch
     (two_type_params(5000, 0.9, 2), 20, 2),  # one trial a batch
     (GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19)), 1, 60),
+    (GraphParams(n=20, type_probs=(0.4, 0.3, 0.3), type_selections=(2, 3, 19)), 0, 60),
+    (GraphParams(n=25, type_probs=(0.4, 0.6), type_selections=(2, 3)), 0, 250),
     (_LATER_RARE, 1, 8 * _BATCH_30),
-    (_LATER_RARE, 0, 8 * _BATCH_30),
+    (_MU99, 0, 8 * _BATCH_30),
     (_K5_AT_6, 0, 1400),
-], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "later-rare-d1", "later-rare",
-                      "n6-K5"])
+], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "k0-is-2-d0", "no-single-picks",
+                      "later-rare-d1", "mu99", "n6-K5"])
 def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
     # every pick, class node list, class count and deleted node equals the
     # per-trial draw's
     fallbacks = _count_fallbacks(monkeypatch)
     rounds = []
-    spares = experiments._Spares
-    monkeypatch.setattr(experiments, "_Spares", lambda *args: rounds.append(1) or spares(*args))
+    slice_rounds = experiments._slice_rounds
+    monkeypatch.setattr(experiments, "_slice_rounds",
+                        lambda *args: rounds.append(1) or slice_rounds(*args))
     rng = np.random.Generator(np.random.Philox(0))
     lo, why = 0, []
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
-        why.append("lone" if len(keys) == 1 else "deleting" if d else None)
+        why.append("lone" if len(keys) == 1 else None if _shares_rounds(params, d)
+                   else "by-trial")
         nodes, blocks, counts, dead = experiments._batch_draw(params, d, rng, keys)
         want_nodes, want_blocks, want_dead = _per_trial_draws(params, d, lo, lo + len(keys))
         assert len(nodes) == params.r
@@ -335,13 +347,13 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
             assert np.array_equal(counts, np.stack([np.bincount(c // params.n, minlength=len(keys))
                                                     for c in want_nodes], axis=1))
         lo += len(keys)
-    # lone trials and batches with d > 0 are drawn trial by trial, and so
-    # are the trials of a shared batch whose spare block ran out (4 sigma
-    # leaves few)
+    # lone trials and batches that share no rounds are drawn trial by
+    # trial, and so are the trials of a shared batch whose spare block ran
+    # out (4 sigma leaves few)
     runs_out = ["run-out"] * _RUNS_OUT.get((params, d), 0)
     assert sorted(fallbacks) == sorted([w for w in why if w] + runs_out)
-    if d:
-        assert not rounds  # no batch with d > 0 shares its rounds
+    if not _shares_rounds(params, d):
+        assert not rounds
     elif (params, d) in _ROUNDS_RUN:
         assert len(rounds) == _ROUNDS_RUN[params, d]
 
@@ -490,12 +502,17 @@ _SWEEP_HASHES = [
     (dict(sweep_param="K", sweep_values=(2, 5), n=4097, mu=0.9, trials=30),
      "ff59bbc200d9db0da172acbaf91820f8ca4e7436d475614c9f3692e53ccd51ba",
      "6af61db268f065b44b70039659b61710654c5f5541c733c96d31d70d410d7968"),
+    # column-filled heavy rows (min_cmax 14 and 15), recorded while such
+    # batches still shared their redraw rounds
+    (dict(sweep_param="K", sweep_values=(20, 24), n=30, mu=0.9, trials=200),
+     "b6cd33664df9cf4739c5d3fb2a4c3d946d9749a9c7380ce36b98619c57b9e043",
+     "7c80f2e49b62b65bc07bc2067f5c0288cd14ee2bb3d05a1cf3d5ec144ac45b7a"),
 ]
 
 
 @pytest.mark.parametrize("conf,csv_sha,json_sha", _SWEEP_HASHES,
                          ids=["c10-mu", "d-sweep", "n40-K-sweep", "n40-K8-d-sweep",
-                              "n5000-d-sweep", "n4097-K-sweep"])
+                              "n5000-d-sweep", "n4097-K-sweep", "n30-K-columns"])
 def test_sweep_bytes_match_recorded_hashes(tmp_path, conf, csv_sha, json_sha):
     run_sweep(ExperimentConfig(seed=20240819, out=str(tmp_path / "s"), **conf), workers=1)
     assert hashlib.sha256((tmp_path / "s.csv").read_bytes()).hexdigest() == csv_sha
