@@ -16,7 +16,6 @@ import json
 import math
 import os
 import time
-from concurrent.futures import ProcessPoolExecutor
 from contextlib import contextmanager
 from dataclasses import dataclass
 from functools import lru_cache
@@ -403,6 +402,7 @@ def collect_cmax(params, d, trials, seed, point_index=0, workers=None) -> np.nda
     workers = _pool_size(workers, len(tasks))
     if workers == 1:
         return _run_block((params, d, seed, point_index, 0, trials))
+    from concurrent.futures import ProcessPoolExecutor  # ~15 ms of import, paid by pools only
     with ProcessPoolExecutor(max_workers=workers) as pool:
         blocks = list(pool.map(_run_block, tasks))
     return np.concatenate(blocks)

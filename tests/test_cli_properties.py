@@ -19,6 +19,7 @@ is asked for and maps in process, on a machine patched to report four
 CPUs.
 """
 
+import concurrent.futures
 import io
 import keyword
 import math
@@ -431,7 +432,7 @@ def sized_pool(threads="1"):
     KOUTLAB_THREADS set to threads."""
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(experiments.os, "cpu_count", lambda: CPUS)
-        mp.setattr(experiments, "ProcessPoolExecutor", _SizedPool)
+        mp.setattr(concurrent.futures, "ProcessPoolExecutor", _SizedPool)
         mp.setattr(_SizedPool, "sizes", [])
         mp.setenv(experiments.THREADS_ENV, threads)
         yield _SizedPool.sizes

@@ -1,3 +1,4 @@
+import concurrent.futures
 import hashlib
 import itertools
 import json
@@ -465,7 +466,7 @@ class _RecordingPool:
 ])
 def test_worker_count_is_bounded(monkeypatch, cpus, workers, trials, want):
     monkeypatch.setattr(experiments.os, "cpu_count", lambda: cpus)
-    monkeypatch.setattr(experiments, "ProcessPoolExecutor", _RecordingPool)
+    monkeypatch.setattr(concurrent.futures, "ProcessPoolExecutor", _RecordingPool)
     monkeypatch.setattr(_RecordingPool, "sizes", [])
     params = two_type_params(20, 0.5, 2)
     got = collect_cmax(params, 0, trials, seed=3, workers=workers)

@@ -1,6 +1,7 @@
 import hashlib
 import itertools
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -251,8 +252,18 @@ def test_enumerated_cut_rejects_deleted_nodes():
 
 
 # sha256 of counts.tobytes() and sigs.tobytes() of _signature_table,
-# recorded from the table built by concatenating every outcome's keys
+# recorded from the table built by concatenating every outcome's keys;
+# (3, 2), (4, 3), (5, 4) and (6, 5), where C(deg, K) is zero for most
+# degrees, from the node-by-node scatter that the subset transform replaced
 _TABLE_PINS = [
+    (3, 2, "53b3503a4977f9258af50ad17f70051d61def617695fdda7c7e6bb547b21dc82",
+     "b35408bee8ac432986236e0b1c3ed9feae0b12fa4ab4f836b4906a30c9df410f"),
+    (4, 3, "1f8b85e62603492e22499b41d6efe9d8bcded00cf4632fb66b23b07ca9bff4ad",
+     "fbb297445bf69eb61003854e80a79623fe945c93098518aba67117ee802478e1"),
+    (5, 4, "a709381877f8ad2b5dfd6e1aa6aa10951cf07745fecc28b4e814353b5b91224b",
+     "94b4537b695af2e035b4756da91087eb621a0617606c601f1926424881109b56"),
+    (6, 5, "d362260a367558b11e21230a3e7f813188517444a59d8b27927d3c7bfc5b4488",
+     "028cebd263a1ea711b9d222b10b502bc35508c3fc6029ee1faf914ed9f2f5ffc"),
     (5, 2, "79b8dafe167089068cce0ec48d07de1adf91b1b63afede522a8dd34129b386fd",
      "a48e2456e5bc3c094412ea5457a1a15af4fe46ef68729be1d113332d15b8076c"),
     (6, 2, "dbdfa816b2ec4d4c0f4a06eb8a1a337c59ab5a5639e55920c4421bd6c57aea44",
@@ -268,6 +279,51 @@ def test_signature_table_bits_are_pinned(n, k, counts_sha, sigs_sha):
     assert counts.dtype == sigs.dtype == np.int64
     assert hashlib.sha256(counts.tobytes()).hexdigest() == counts_sha
     assert hashlib.sha256(sigs.tobytes()).hexdigest() == sigs_sha
+
+
+def _brute_signature_table(n, k):
+    """(counts, sigs) by walking every joint outcome: each node picks one
+    of its n-1 pairs (a single pick) or a K-subset of them."""
+    pairs = list(itertools.combinations(range(n), 2))
+    tally = {}
+    per_node = []
+    for i in range(n):
+        mine = [1 << idx for idx, p in enumerate(pairs) if i in p]
+        per_node.append([(b, 1) for b in mine]
+                        + [(sum(sub), 0) for sub in itertools.combinations(mine, k)])
+    for outcome in itertools.product(*per_node):
+        sig = 0
+        for bits, _ in outcome:
+            sig |= bits
+        key = sig, sum(single for _, single in outcome)
+        tally[key] = tally.get(key, 0) + 1
+    sigs = sorted({sig for sig, _ in tally})
+    counts = np.zeros((len(sigs), n + 1), dtype=np.int64)
+    row = {sig: j for j, sig in enumerate(sigs)}
+    for (sig, a), c in tally.items():
+        counts[row[sig], a] = c
+    return counts, np.array(sigs, dtype=np.int64)
+
+
+@pytest.mark.parametrize("n, k", [(3, 2), (4, 2), (4, 3), (5, 2)])
+def test_signature_table_is_the_outcome_walk(n, k):
+    counts, sigs = oracle._signature_table(n, k)
+    want_counts, want_sigs = _brute_signature_table(n, k)
+    assert np.array_equal(sigs, want_sigs) and np.array_equal(counts, want_counts)
+    assert counts.flags.c_contiguous
+
+
+def test_signature_table_peak_memory():
+    # the kept n=6 table is 1.75 MB and the transform's 7 x 2**15 int64
+    # array 1.8 MB; a scatter over per-node copies of the state space peaks higher
+    oracle._signature_table.cache_clear()
+    tracemalloc.start()
+    try:
+        oracle._signature_table(6, 2)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 5_000_000
 
 
 def test_enumerated_cut_is_the_edge_walk():
