@@ -25,7 +25,7 @@ import numpy as np
 
 from .component_analysis import component_labels
 from .errors import ParameterError, _ints, _items, _number, _seeds, _trial_count
-from .graph_model import (GraphParams, _class_counts, _draw_classes, _first_draw, _read_d,
+from .graph_model import (GraphParams, _class_counts, _draw_classes, _read_d,
                           _rows_with_repeats, class_nodes, construct_r_type, couple_extend,
                           draw_deleted, draw_trial, two_type_params, union_arcs)
 from . import bounds
@@ -128,15 +128,16 @@ def trial_keys(master_seed, point_index, lo, hi) -> np.ndarray:
 
 
 _ZEROS4 = np.zeros(4, dtype=np.uint64)
+# The state _rekey sets, reused: the setter copies its values.
+_FRESH = {"bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": None},
+          "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0}
 
 
 def _rekey(rng, key):
     """Reset rng's Philox to the state a new Philox keyed by key starts in:
     counter 0, an empty output buffer, no saved 32-bit half."""
-    rng.bit_generator.state = {
-        "bit_generator": "Philox", "state": {"counter": _ZEROS4, "key": key},
-        "buffer": _ZEROS4, "buffer_pos": 4, "has_uint32": 0, "uinteger": 0,
-    }
+    _FRESH["state"]["key"] = key
+    rng.bit_generator.state = _FRESH
 
 
 # Trials are labeled together in batches of at most this many nodes (one
@@ -172,7 +173,7 @@ _SPARE_SIGMAS = 4
 def _spare_sizer(params):
     """The size of a trial's spare block (_batch_draw) as a function of its
     count of heavy rows, the class-1 rows of the (1, K) ensemble: the
-    picks those rows take after _first_draw's call, that is their
+    picks those rows take after draw_trial's first call, that is their
     redraws, whether or not they repeat.  A row is redrawn whole until it
     is distinct, so it draws Geometric(p) rows of k picks, p its
     GraphParams._row_accept: k/p - k picks after its first k in mean,
@@ -264,25 +265,26 @@ def _first_rounds(params, rng, keys):
     """_batch_draw's loop over the trials of a (1, K) batch.  Returns
     (nodes, blocks, counts, spares, bad): nodes lists each class's nodes
     (class_nodes, on the batch's uniforms), blocks the single picks and
-    the first draw of the heavy rows (_first_draw), counts the (B, 2)
-    class sizes, spares[b] trial b's spare block, drawn by the same
-    integers call as its first rows, and bad the heavy rows that hold a
-    repeat."""
+    the first draw of the heavy rows, counts the (B, 2) class sizes,
+    spares[b] trial b's spare block and bad the heavy rows that hold a
+    repeat.  A trial is rekeyed, draws its uniforms, counts its h heavy
+    rows and makes one int32 integers call: draw_trial's first n + h(K-1)
+    picks and then its spare block, sliced apart after the loop."""
     n, k, size = params.n, params.type_selections[1], _spare_sizer(params)
-    xs, counts, heads, rows, spares = [], [], [], [], []
+    xs, heavy, calls = [], [], []
     for key in keys:
         _rekey(rng, key)
         x = rng.random(n)
-        c = _class_counts(params, x)
-        head, picks, spare = _first_draw(params, rng, c, size(c[1]))
+        h = _class_counts(params, x)[1]
         xs.append(x)
-        counts.append(c)
-        heads.append(head)
-        rows.append(picks)
-        spares.append(spare)
-    blocks = [np.concatenate(heads), np.concatenate(rows)]
-    bad = _rows_with_repeats(blocks[1].reshape(-1, k), n)
-    return class_nodes(params, np.concatenate(xs)), blocks, np.array(counts), spares, bad
+        heavy.append(h)
+        calls.append(rng.integers(0, n - 1, size=n + h * (k - 1) + size(h), dtype=np.int32))
+    first = [n + h * (k - 1) for h in heavy]  # where each spare block starts
+    heads = np.concatenate([c[:n - h] for c, h in zip(calls, heavy)])
+    rows = np.concatenate([c[n - h:m] for c, h, m in zip(calls, heavy, first)])
+    h = np.array(heavy)
+    return (class_nodes(params, np.concatenate(xs)), [heads, rows], np.stack([n - h, h], axis=1),
+            [c[m:] for c, m in zip(calls, first)], _rows_with_repeats(rows.reshape(-1, k), n))
 
 
 def _batch_draw(params, d, rng, keys):
@@ -302,19 +304,17 @@ def _batch_draw(params, d, rng, keys):
     trial by trial (_trial_by_trial): with d > 0 each trial's deleted
     nodes must be drawn from its stream right after the picks it used.
 
-    A shared batch has one generator serve every trial.  Per trial it is
-    rekeyed and makes draw_trial's first calls (_first_draw, in
-    _first_rounds): the type uniforms and the integers call of the
-    single picks and the heavy rows.  Calls with one bound consume the
-    stream in turn, whatever their size and int dtype, so the picks
-    draw_trial would draw after that call are the next ones of the
-    stream, and the same call draws them as the trial's spare block: its
-    expected need plus _SPARE_SIGMAS standard deviations, sized from its
-    count of heavy rows and rounded up to whole k-slices (_spare_sizer).
-    A batch with no repeated heavy row is done.  Otherwise the bad rows'
-    rounds run on slice ids: each slice of the batch's blocks is tested
-    for a repeat once, and a round only moves cursors (_slice_rounds).
-    A trial whose block runs out is drawn again trial by trial.
+    A shared batch has one generator serve every trial (_first_rounds).
+    Calls with one bound consume the stream in turn, whatever their size
+    and int dtype, so the picks draw_trial would draw after its first
+    integers call are the next ones of the stream, and the same call
+    draws them as the trial's spare block: its expected need plus
+    _SPARE_SIGMAS standard deviations, sized from its count of heavy rows
+    and rounded up to whole k-slices (_spare_sizer).  A batch with no
+    repeated heavy row is done.  Otherwise the bad rows' rounds run on
+    slice ids: each slice of the batch's blocks is tested for a repeat
+    once, and a round only moves cursors (_slice_rounds).  A trial whose
+    block runs out is drawn again trial by trial.
     """
     if d or params.r > 2 or not params._first_rows or params._fills_columns[1]:
         return _trial_by_trial(params, d, rng, keys)

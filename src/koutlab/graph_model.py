@@ -93,6 +93,11 @@ class GraphParams:
         cum.flags.writeable = False
         return cum
 
+    @cached_property
+    def _inner_edges(self) -> tuple[float, ...]:
+        """The inner bin edges of the type draw, all of cum_probs but the last."""
+        return tuple(self.cum_probs[:-1].tolist())
+
     @property
     def mean_selections(self) -> float:
         """Average number of selections a node makes, sum(mu_i * K_i)."""
@@ -225,7 +230,7 @@ def class_nodes(params: GraphParams, x) -> list[np.ndarray]:
     uniforms at or above edge t-1 and not at or above edge t.
     """
     x = np.ravel(x)
-    above = [x >= edge for edge in params.cum_probs[:-1].tolist()]
+    above = [x >= edge for edge in params._inner_edges]
     inner = [(lo ^ hi).nonzero()[0] for lo, hi in zip(above, above[1:])]
     return [(~above[0]).nonzero()[0], *inner, above[-1].nonzero()[0]]
 
@@ -279,35 +284,28 @@ def _distinct_columns(rng, rows, n):
             bad = bad[(rows[bad, :j] == rows[bad, j:j + 1]).any(axis=1)]
 
 
-def _class_counts(params: GraphParams, x) -> tuple[int, ...]:
+def _class_counts(params: GraphParams, x) -> list[int]:
     """The class sizes of class_nodes(params, x), counted without listing the nodes."""
-    # Python numbers throughout: numpy's own scalars compare and add slower
-    above = [params.n] + [int(np.count_nonzero(x >= e)) for e in params.cum_probs[:-1].tolist()]
-    above.append(0)
-    return tuple([above[t] - above[t + 1] for t in range(params.r)])
+    # Python ints in a plain loop: numpy scalars and comprehensions cost more
+    counts, rest = [], params.n
+    for edge in params._inner_edges:
+        above = int(np.count_nonzero(x >= edge))
+        counts.append(rest - above)
+        rest = above
+    return counts + [rest]
 
 
-def _first_draw(params: GraphParams, rng, counts, spare=None):
+def _first_draw(params: GraphParams, rng, counts):
     """draw_trial's first integers call, made right after the type uniforms
-    that gave the class sizes counts; returns (head, rows, tail).
-
-    The call draws the rows of class f, the first class with k >= 2
-    picks, in one flat array; f is params._first_rows, 1 when class 0
-    makes single picks, and then class 0's picks (head) come first in
-    the same call.  spare, when given, is a number of further raw picks
-    that the same call draws after the rows (tail; empty without spare):
-    the sweep engine's spare block, which only the (1, K) ensemble draws
-    (experiments._first_rounds).  With a spare the call draws int32,
-    which consumes the stream as int64 does, in half the memory of a
-    batch's spares; without one, int64.
-    """
+    that gave the class sizes counts; returns (head, rows).  The call
+    draws the rows of class f, the first class with k >= 2 picks, in one
+    flat array; f is params._first_rows, 1 when class 0 makes single
+    picks, and then class 0's picks (head) come first in the same call."""
     n, f = params.n, params._first_rows
     lead = counts[0] if f else 0
     size = lead + counts[f] * params.type_selections[f]
-    more, dtype = (spare, np.int32) if spare is not None else (0, np.int64)
-    picks = (rng.integers(0, n - 1, size=size + more, dtype=dtype) if size + more
-             else np.empty(0, dtype=dtype))
-    return picks[:lead], picks[lead:size], picks[size:]
+    picks = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
+    return picks[:lead], picks[lead:]
 
 
 def draw_trial(params: GraphParams, rng):
@@ -326,11 +324,11 @@ def draw_trial(params: GraphParams, rng):
     (GraphParams._fills_columns) redraws single picks instead
     (_distinct_columns).
 
-    The same fact lets the sweep engine (experiments._batch_draw) draw
+    The same fact lets the sweep engine (experiments._first_rounds) draw
     the redraws of a (1, K) trial whose heavy rows are redrawn whole in
-    its first integers call (through _first_draw's spare) and run the
-    redraw rounds of a whole batch at once when no node is deleted: its
-    picks equal these.  Both test rows for repeats with
+    its first integers call, as a spare block after the first draw, and
+    run the redraw rounds of a whole batch at once when no node is
+    deleted: its picks equal these.  Both test rows for repeats with
     _rows_with_repeats.  This function is the engine's reference, and
     draws every other batch (deletions, other ensembles) and each trial
     whose spare runs out.  _draw_classes draws the same and returns the
@@ -349,7 +347,7 @@ def _draw_classes(params: GraphParams, rng):
 def _picks(params: GraphParams, rng, counts):
     """draw_trial's blocks, drawn right after uniforms with these class counts."""
     n, ks, f = params.n, params.type_selections, params._first_rows
-    head, raw, _ = _first_draw(params, rng, counts)
+    head, raw = _first_draw(params, rng, counts)
     blocks = [head] if f else []
     for t in range(f, params.r):
         if t > f:

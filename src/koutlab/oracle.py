@@ -331,7 +331,7 @@ def _cross_mask(n, subset, deleted):
                if u not in deleted and v not in deleted and (u in subset) != (v in subset))
 
 
-@lru_cache(maxsize=8)
+@lru_cache(maxsize=2)  # an n = 7 table is ~130 MB; two serve a sweep over K in {2, 3}
 def _signature_table(n, k):
     """Aggregate all joint selection outcomes by undirected edge signature.
 

@@ -359,6 +359,37 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
         assert len(rounds) == _ROUNDS_RUN[params, d]
 
 
+class _CountingGenerator(np.random.Generator):
+    # a generator that counts its random and integers calls
+    def __init__(self, bit_generator):
+        super().__init__(bit_generator)
+        self.calls = {"random": 0, "integers": 0}
+
+    def random(self, *args, **kwargs):
+        self.calls["random"] += 1
+        return super().random(*args, **kwargs)
+
+    def integers(self, *args, **kwargs):
+        self.calls["integers"] += 1
+        return super().integers(*args, **kwargs)
+
+
+@pytest.mark.parametrize("params", [two_type_params(30, 0.5, 2), two_type_params(40, 0.5, 12)],
+                         ids=["n30-K2", "n40-K12"])
+def test_shared_batches_make_two_calls_a_trial(monkeypatch, params):
+    # a shared d = 0 batch draws each trial's uniforms and picks in one
+    # random and one integers call; no batch here runs out of spare picks,
+    # which would draw that trial again
+    monkeypatch.setattr(experiments, "_trial_by_trial", None)
+    rng = _CountingGenerator(np.random.Philox(0))
+    trials = 0
+    for keys in experiments.key_batches(31, 2, 0, 3 * (experiments._BATCH_NODES // params.n),
+                                        params.n):
+        experiments._batch_draw(params, 0, rng, keys)
+        trials += len(keys)
+        assert rng.calls == {"random": trials, "integers": trials}
+
+
 def test_lone_trials_keep_to_draw_trial(monkeypatch):
     # a batch of one trial has no rounds to share and draws no spare block:
     # it never reaches _batch_draw, and its labels are those of the graph

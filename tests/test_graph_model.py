@@ -5,9 +5,9 @@ import numpy as np
 import pytest
 
 from koutlab import ParameterError
-from koutlab.graph_model import (GraphParams, class_nodes, construct_r_type, couple_extend,
-                                 delete_random_nodes, draw_trial, two_type_params, union_arcs,
-                                 validate_type_distribution)
+from koutlab.graph_model import (GraphParams, _class_counts, class_nodes, construct_r_type,
+                                 couple_extend, delete_random_nodes, draw_trial, two_type_params,
+                                 union_arcs, validate_type_distribution)
 
 
 def selections(g):
@@ -144,6 +144,26 @@ def test_class_nodes_is_the_clipped_bin_search():
         assert types.dtype == np.int64
         assert np.array_equal(types, np.minimum(np.searchsorted(cum, x, side="right"),
                                                 params.r - 1))
+
+
+@pytest.mark.parametrize("params", [
+    two_type_params(30, 0.5, 2),
+    two_type_params(30, 0.99, 2),
+    GraphParams(n=30, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4)),
+], ids=["mu50", "mu99", "3-class"])
+def test_class_counts_keep_the_bin_rule_at_every_edge(params):
+    # _class_counts sizes the classes of class_nodes for uniforms exactly on
+    # each inner edge, one ulp below it and one ulp above it; a uniform on
+    # edge t is of class t + 1
+    rng = np.random.default_rng(6)
+    for t, edge in enumerate(params.cum_probs[:-1]):
+        for u, cls in ((np.nextafter(edge, 0), t), (edge, t + 1), (np.nextafter(edge, 1), t + 1)):
+            same = np.full(params.n, u)
+            assert _class_counts(params, same) == [params.n if c == cls else 0
+                                                   for c in range(params.r)]
+            mixed = np.where(rng.random(params.n) < 0.5, u, rng.random(params.n))
+            for x in (same, mixed):
+                assert _class_counts(params, x) == [c.size for c in class_nodes(params, x)]
 
 
 def _class_by_class(params, rng):

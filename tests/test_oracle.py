@@ -326,6 +326,14 @@ def test_signature_table_peak_memory():
     assert peak < 5_000_000
 
 
+def test_signature_table_cache_keeps_two_tables():
+    # an n = 7 table holds ~130 MB; two serve oracle-enum's K in {2, 3}
+    oracle._signature_table.cache_clear()
+    for k in (2, 3, 4):
+        oracle._signature_table(5, k)
+    assert oracle._signature_table.cache_info().currsize == 2
+
+
 def test_enumerated_cut_is_the_edge_walk():
     # the signature mask against a walk over the decoded edges, for every
     # seventh signature at n=5 and every cut of every deletion set, d <= 2
