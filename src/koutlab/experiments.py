@@ -171,8 +171,8 @@ _SPARE_SIGMAS = 4
 
 @lru_cache(maxsize=16)
 def _spare_sizer(params):
-    """The size of a trial's spare block (_batch_draw) as a function of its
-    count of heavy rows, the class-1 rows of the (1, K) ensemble: the
+    """The size of a trial's spare block (_first_rounds) as a function of
+    its count of heavy rows, the class-1 rows of the (1, K) ensemble: the
     picks those rows take after draw_trial's first call, that is their
     redraws, whether or not they repeat.  A row is redrawn whole until it
     is distinct, so it draws Geometric(p) rows of k picks, p its
@@ -180,8 +180,8 @@ def _spare_sizer(params):
     k²(1-p)/p² in variance.  The size is the mean plus _SPARE_SIGMAS
     standard deviations, plus one row: the need comes in rows, and at
     small means the deviations fall short of the next one.  It is rounded
-    up to whole rows, k-slices, so that a batch's spare blocks line up as
-    one table of slices (_slice_rounds).  Sizes are kept by count."""
+    up to whole rows, k-slices, so that a batch's heavy rows and spare
+    blocks line up as one table of slices.  Sizes are kept by count."""
     k, p = params.type_selections[1], params._row_accept[1]
     mean, variance = k / p - k, k * k * (1 - p) / (p * p)
 
@@ -192,55 +192,52 @@ def _spare_sizer(params):
     return size
 
 
-# _slice_rounds tests this many spare slices for repeats at a time, so
-# that the test's temporaries do not grow with the batch's spare
+# _slice_rounds tests this many slices for repeats at a time, so that the
+# test's temporaries do not grow with the batch's table
 _SLICE_CHUNK = 2048
 
 
-def _slice_rounds(spares, owner, rows, n, bad):
-    """_redraw_repeats on the batch's heavy rows, each trial's redraws
-    taken in turn from its spare block (spares[b] is trial b's), owner[i]
-    being the trial of row i and bad listing the rows that hold a repeat.
-    Returns the mask of the trials whose block ran out; their rows are
-    left as they are.
+def _slice_rounds(table, heavy, slices, n):
+    """_redraw_repeats on the heavy rows of a batch's slice table
+    (_first_rounds), where trial b holds slices[b] consecutive slices: its
+    heavy[b] first rows, then its spare block.  Returns the heavy rows,
+    trial by trial, as one flat block, and the trials whose spare block
+    ran out, whose rows are left as first drawn.
 
-    Every block is whole k-slices (_spare_sizer), so the blocks make one
-    table of slices, and each slice is tested for a repeat once, before
-    the rounds.  A round gives each bad row the next slice of its trial,
-    a trial's rows in row order, and keeps the rows whose slice is
-    marked (holds a repeat), still in row order.  So a trial's slices go
-    out in block order, first to its w bad rows and then to the rows of
-    its marked slices in turn: the row of its j-th marked slice takes
-    the block's slice w + j next.  The rounds therefore move cursors
-    along that successor of each slice, worked out once for the batch.
-    Each row ends on an unmarked slice of its own, so a trial runs out
-    when its block holds fewer than w unmarked slices.  One gather
-    writes each row's last slice into rows.
+    Each slice is tested for a repeat once.  A round gives each repeating
+    row the next slice of its trial, a trial's rows in row order, and
+    keeps the rows whose new slice is marked (repeats), still in row
+    order.  So a trial's slices go out in table order, and the row of its
+    j-th marked slice, counting its first rows, takes its slice h + j
+    next.  A batch with no marked first row runs no round.
     """
-    k = rows.shape[1]
-    # the table holds every raw pick, each in [0, n-1), in the least dtype
-    table = np.concatenate(spares, dtype=np.min_scalar_type(-n)).reshape(-1, k)
-    marked = np.zeros(len(table), dtype=bool)
+    marked = np.empty(len(table), dtype=bool)
     for a in range(0, len(table), _SLICE_CHUNK):
-        marked[a + _rows_with_repeats(table[a:a + _SLICE_CHUNK], n)] = True
-    size = np.array([spare.size // k for spare in spares])
-    end = np.cumsum(size)
-    start = end - size  # each trial's slices
-    trial = owner[bad]  # non-decreasing: rows are listed in order
-    wanted = np.bincount(trial, minlength=size.size)
+        marked[a:a + _SLICE_CHUNK] = _rows_with_repeats(table[a:a + _SLICE_CHUNK], n)
+    start = np.cumsum(slices) - slices
+    # each row's slice, its first row to begin with
+    cursor = np.repeat(start - np.cumsum(heavy) + heavy, heavy) + np.arange(heavy.sum())
+    live = marked[cursor].nonzero()[0]
+    # live is empty when no first row repeats, and then no trial runs out
+    failed = _successor_rounds(marked, cursor, live, heavy, start, slices) if live.size else live
+    return table[cursor].ravel(), failed
+
+
+def _successor_rounds(marked, cursor, live, heavy, start, slices):
+    """_slice_rounds' rounds: move the cursor of each row in live to its
+    slice's successor until it sits on an unmarked slice.  Each row ends
+    on an unmarked slice of its own, so a trial with fewer than h
+    unmarked slices runs out; its rows stay put.  Returns those trials."""
     seen = np.concatenate(([0], np.cumsum(marked)))  # seen[s]: marked slices before s
-    failed = size - (seen[end] - seen[start]) < wanted
-    # trial b's marked slice s is followed by slice start[b] + wanted[b]
-    # + (its rank among b's marked slices); an unmarked slice is final
-    after = np.repeat(start + wanted - seen[start], size) + seen[:-1]
-    after = np.where(marked, after, np.arange(len(table)))
-    cursor = np.repeat(start - np.cumsum(wanted) + wanted, wanted) + np.arange(trial.size)
-    served = ~failed[trial]
-    bad, cursor = bad[served], cursor[served]
-    while marked[cursor].any():
-        cursor = after[cursor]
-    rows[bad] = table[cursor]
-    return failed
+    failed = slices - (seen[start + slices] - seen[start]) < heavy
+    # the j-th marked slice s of a row's trial, j = seen[s] - seen[start],
+    # is followed by the trial's slice h + j, that is after + seen[s]
+    after = np.repeat(start + heavy - seen[start], heavy)
+    live = live[~np.repeat(failed, heavy)[live]]
+    while live.size:
+        cursor[live] = at = after[live] + seen[cursor[live]]
+        live = live[marked[at]]
+    return failed.nonzero()[0]
 
 
 def _trial_by_trial(params, d, rng, keys):
@@ -263,13 +260,14 @@ def _trial_by_trial(params, d, rng, keys):
 
 def _first_rounds(params, rng, keys):
     """_batch_draw's loop over the trials of a (1, K) batch.  Returns
-    (nodes, blocks, counts, spares, bad): nodes lists each class's nodes
-    (class_nodes, on the batch's uniforms), blocks the single picks and
-    the first draw of the heavy rows, counts the (B, 2) class sizes,
-    spares[b] trial b's spare block and bad the heavy rows that hold a
-    repeat.  A trial is rekeyed, draws its uniforms, counts its h heavy
-    rows and makes one int32 integers call: draw_trial's first n + h(K-1)
-    picks and then its spare block, sliced apart after the loop."""
+    (nodes, heads, counts, table, slices): each class's nodes (class_nodes
+    on the batch's uniforms), the single picks, the (B, 2) class sizes,
+    the batch's slice table and each trial's count of slices in it.  A
+    trial is rekeyed, draws its uniforms, counts its h heavy rows and
+    makes one int32 integers call: draw_trial's first n + h(K-1) picks,
+    then its spare block.  From offset n - h on, that call is whole
+    K-slices, so its tails from there make the table, in the least int
+    dtype that holds a raw pick."""
     n, k, size = params.n, params.type_selections[1], _spare_sizer(params)
     xs, heavy, calls = [], [], []
     for key in keys:
@@ -279,12 +277,12 @@ def _first_rounds(params, rng, keys):
         xs.append(x)
         heavy.append(h)
         calls.append(rng.integers(0, n - 1, size=n + h * (k - 1) + size(h), dtype=np.int32))
-    first = [n + h * (k - 1) for h in heavy]  # where each spare block starts
     heads = np.concatenate([c[:n - h] for c, h in zip(calls, heavy)])
-    rows = np.concatenate([c[n - h:m] for c, h, m in zip(calls, heavy, first)])
+    tails = [c[n - h:] for c, h in zip(calls, heavy)]
     h = np.array(heavy)
-    return (class_nodes(params, np.concatenate(xs)), [heads, rows], np.stack([n - h, h], axis=1),
-            [c[m:] for c, m in zip(calls, first)], _rows_with_repeats(rows.reshape(-1, k), n))
+    return (class_nodes(params, np.concatenate(xs)), heads, np.stack([n - h, h], axis=1),
+            np.concatenate(tails, dtype=np.min_scalar_type(-n)).reshape(-1, k),
+            np.array([t.size for t in tails]) // k)
 
 
 def _batch_draw(params, d, rng, keys):
@@ -310,24 +308,22 @@ def _batch_draw(params, d, rng, keys):
     integers call are the next ones of the stream, and the same call
     draws them as the trial's spare block: its expected need plus
     _SPARE_SIGMAS standard deviations, sized from its count of heavy rows
-    and rounded up to whole k-slices (_spare_sizer).  A batch with no
-    repeated heavy row is done.  Otherwise the bad rows' rounds run on
-    slice ids: each slice of the batch's blocks is tested for a repeat
-    once, and a round only moves cursors (_slice_rounds).  A trial whose
-    block runs out is drawn again trial by trial.
+    and rounded up to whole k-slices (_spare_sizer).  The heavy rows and
+    spare blocks of the batch make one table of k-slices, each tested
+    for a repeat once, and the rounds only move each repeating row's
+    cursor along the table (_slice_rounds).  A trial whose spare block
+    runs out is drawn again trial by trial.
     """
     if d or params.r > 2 or not params._first_rows or params._fills_columns[1]:
         return _trial_by_trial(params, d, rng, keys)
     k = params.type_selections[1]
-    nodes, blocks, counts, spares, bad = _first_rounds(params, rng, keys)
-    if bad.size:
-        owner = np.repeat(np.arange(len(keys)), counts[:, 1])
-        for b in np.flatnonzero(_slice_rounds(spares, owner, blocks[1].reshape(-1, k),
-                                              params.n, bad)):
-            _, exact, _, _ = _trial_by_trial(params, 0, rng, keys[b:b + 1])
-            at = counts[:b, 1].sum() * k
-            blocks[1][at:at + exact[1].size] = exact[1]
-    return nodes, blocks, counts, np.empty((len(keys), 0), dtype=np.int64)
+    nodes, heads, counts, table, slices = _first_rounds(params, rng, keys)
+    rows, failed = _slice_rounds(table, counts[:, 1], slices, params.n)
+    for b in failed:
+        _, exact, _, _ = _trial_by_trial(params, 0, rng, keys[b:b + 1])
+        at = counts[:b, 1].sum() * k
+        rows[at:at + exact[1].size] = exact[1]
+    return nodes, [heads, rows], counts, np.empty((len(keys), 0), dtype=np.int64)
 
 
 def _batch_labels(params, d, rng, keys) -> np.ndarray:

@@ -236,7 +236,7 @@ def class_nodes(params: GraphParams, x) -> list[np.ndarray]:
 
 
 def _rows_with_repeats(sel, n) -> np.ndarray:
-    """Indices of the rows of sel, raw picks in [0, n-1), that hold some
+    """The mask of the rows of sel, raw picks in [0, n-1), that hold some
     value twice.
 
     A row of two picks is compared directly.  At n <= 65 every pick is
@@ -247,13 +247,13 @@ def _rows_with_repeats(sel, n) -> np.ndarray:
     """
     k = sel.shape[1]
     if k == 2:
-        return (sel[:, 0] == sel[:, 1]).nonzero()[0]
+        return sel[:, 0] == sel[:, 1]
     if n > 65:
         s = np.sort(sel.astype(np.promote_types(sel.dtype, np.int16), copy=False), axis=1)
-        return (s[:, 1:] == s[:, :-1]).any(axis=1).nonzero()[0]
+        return (s[:, 1:] == s[:, :-1]).any(axis=1)
     bits = sel.T.astype(np.uint64, order="C")  # one contiguous row per column
     np.left_shift(1, bits, out=bits)
-    return (np.bitwise_count(np.bitwise_or.reduce(bits, axis=0)) < k).nonzero()[0]
+    return np.bitwise_count(np.bitwise_or.reduce(bits, axis=0)) < k
 
 
 def _redraw_repeats(rng, rows, n):
@@ -264,7 +264,7 @@ def _redraw_repeats(rng, rows, n):
     before the self-avoiding shift, which is monotone within a row and
     so keeps repeats as they are.
     """
-    bad = _rows_with_repeats(rows, n)
+    bad = _rows_with_repeats(rows, n).nonzero()[0]
     while bad.size:
         redo = rng.integers(0, n - 1, size=(bad.size, rows.shape[1]))
         rows[bad] = redo
@@ -326,12 +326,13 @@ def draw_trial(params: GraphParams, rng):
 
     The same fact lets the sweep engine (experiments._first_rounds) draw
     the redraws of a (1, K) trial whose heavy rows are redrawn whole in
-    its first integers call, as a spare block after the first draw, and
-    run the redraw rounds of a whole batch at once when no node is
-    deleted: its picks equal these.  Both test rows for repeats with
-    _rows_with_repeats.  This function is the engine's reference, and
-    draws every other batch (deletions, other ensembles) and each trial
-    whose spare runs out.  _draw_classes draws the same and returns the
+    its first integers call, as a spare block after the first draw.  From
+    the heavy rows on, those calls are whole K-slices, one slice table a
+    batch, on which the engine runs the redraw rounds of the whole batch
+    when no node is deleted (experiments._slice_rounds): its picks equal
+    these.  Both mark repeating rows with _rows_with_repeats.  This
+    function is the engine's reference, and draws every other batch
+    (deletions, other ensembles) and each trial whose spare runs out.  _draw_classes draws the same and returns the
     class nodes in place of x, for construct_r_type and lone trials.
     """
     x = rng.random(params.n)

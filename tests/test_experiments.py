@@ -302,7 +302,8 @@ _LATER_RARE = GraphParams(n=30, type_probs=(0.99, 0.009999, 1e-6), type_selectio
 # heavy rows so rare that about a quarter of the 136-trial batches (5 of
 # the 8 drawn here) hold no repeated one and so run no rounds
 _MU99 = two_type_params(30, 0.99, 2)
-# the batches that run redraw rounds, where not every batch does
+# the batches that run redraw rounds (_successor_rounds: a batch with no
+# repeated first row skips them), where not every batch does
 _ROUNDS_RUN = {(_MU99, 0): 3}
 
 
@@ -322,16 +323,20 @@ def _shares_rounds(params, d):
     (_LATER_RARE, 1, 8 * _BATCH_30),
     (_MU99, 0, 8 * _BATCH_30),
     (_K5_AT_6, 0, 1400),
+    # the last n whose slice table is int8, and the first int16 one, whose
+    # repeat test sorts
+    (two_type_params(128, 0.5, 8), 0, 96),
+    (two_type_params(129, 0.5, 8), 0, 93),
 ], ids=_SHARED_IDS + ["n1000-d20", "n5000-d20", "k0-is-2", "k0-is-2-d0", "no-single-picks",
-                      "later-rare-d1", "mu99", "n6-K5"])
+                      "later-rare-d1", "mu99", "n6-K5", "n128-K8-int8", "n129-K8-int16"])
 def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
     # every pick, class node list, class count and deleted node equals the
     # per-trial draw's
     fallbacks = _count_fallbacks(monkeypatch)
     rounds = []
-    slice_rounds = experiments._slice_rounds
-    monkeypatch.setattr(experiments, "_slice_rounds",
-                        lambda *args: rounds.append(1) or slice_rounds(*args))
+    successor_rounds = experiments._successor_rounds
+    monkeypatch.setattr(experiments, "_successor_rounds",
+                        lambda *args: rounds.append(1) or successor_rounds(*args))
     rng = np.random.Generator(np.random.Philox(0))
     lo, why = 0, []
     for keys in experiments.key_batches(31, 2, 0, trials, params.n):
@@ -357,6 +362,53 @@ def test_batch_draw_is_draw_trial(monkeypatch, params, d, trials):
         assert not rounds
     elif (params, d) in _ROUNDS_RUN:
         assert len(rounds) == _ROUNDS_RUN[params, d]
+
+
+def _fifo_replay(trials):
+    """The rounds of _redraw_repeats replayed on chosen marks: trials lists
+    (h, marks), marks[s] telling whether the trial's slice s repeats, its
+    first h slices being its rows.  Each round gives every row still on a
+    marked slice its trial's next slice, rows in order.  Returns each
+    row's last slice, as a slice of the whole table, and the trials that
+    run out of slices, whose rows keep their first slices."""
+    ends, failed, start = [], [], 0
+    for b, (h, marks) in enumerate(trials):
+        at, nxt = list(range(h)), h
+        live = [i for i in at if marks[i]]
+        while live:
+            if nxt + len(live) > len(marks):
+                failed.append(b)
+                at = list(range(h))
+                break
+            for i in live:
+                at[i], nxt = nxt, nxt + 1
+            live = [i for i in live if marks[at[i]]]
+        ends += [start + s for s in at]
+        start += len(marks)
+    return ends, failed
+
+
+@pytest.mark.parametrize("trials", [
+    # no first row repeats: the batch runs no round
+    [(2, "..."), (0, "xx."), (3, "...x.")],
+    # a trial with no marked slice beside one that redraws
+    [(3, "......"), (1, "x.x.")],
+    # the marked spare slice 3 goes out before row 2 takes its first redraw
+    [(3, "xxxx.x...."), (2, "..x")],
+    # h - 1 unmarked slices run out; h of them are just enough
+    [(2, "x.xx"), (2, "x.x."), (1, "x")],
+], ids=["none-repeat", "unmarked-trial", "spare-before-last-row", "runs-out"])
+def test_slice_rounds_are_a_fifo_replay(trials):
+    # slice s of the table is (s, s) when marked and (s, s + 1) when not,
+    # so each row's last slice reads off its first pick
+    marks = [m == "x" for _, ms in trials for m in ms]
+    table = np.array([(s, s + (not m)) for s, m in enumerate(marks)], dtype=np.int8)
+    heavy = np.array([h for h, _ in trials])
+    slices = np.array([len(ms) for _, ms in trials])
+    rows, failed = experiments._slice_rounds(table, heavy, slices, 100)
+    ends, want_failed = _fifo_replay([(h, [m == "x" for m in ms]) for h, ms in trials])
+    assert np.array_equal(rows, table[ends].ravel())
+    assert np.array_equal(failed, want_failed)
 
 
 class _CountingGenerator(np.random.Generator):

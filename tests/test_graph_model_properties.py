@@ -1,6 +1,6 @@
 """Property tests of the sampler's repeat test and of the batch's arcs.
 
-graph_model._rows_with_repeats finds the rows of raw picks that hold a
+graph_model._rows_with_repeats marks the rows of raw picks that hold a
 value twice: from a bitmask of each row's picks at n <= 65, where every
 raw pick is below 64, and by sorting the rows above that.  Cases draw
 rows of width 2-20 at n in {3, 40, 65, 66, 130, 5000}, as int8 where
@@ -54,8 +54,10 @@ def pick_rows(draw):
 @given(pick_rows())
 def test_rows_with_repeats_matches_sorting(case):
     sel, n = case
-    assert np.array_equal(_rows_with_repeats(sel, n), _reference(sel))
-    assert _rows_with_repeats(sel[:0], n).size == 0
+    mask = _rows_with_repeats(sel, n)
+    assert mask.dtype == bool and mask.shape == (len(sel),)
+    assert np.array_equal(np.flatnonzero(mask), _reference(sel))
+    assert _rows_with_repeats(sel[:0], n).shape == (0,)
 
 
 @st.composite
