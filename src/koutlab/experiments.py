@@ -25,7 +25,7 @@ import numpy as np
 
 from .component_analysis import component_labels
 from .errors import ParameterError, _ints, _items, _number, _seeds, _trial_count
-from .graph_model import (GraphParams, _class_counts, _draw_classes, _read_d,
+from .graph_model import (GraphParams, _class_counts, _read_d,
                           _rows_with_repeats, class_nodes, construct_r_type, couple_extend,
                           draw_deleted, draw_trial, two_type_params, union_arcs)
 from . import bounds
@@ -329,12 +329,14 @@ def _batch_draw(params, d, rng, keys):
 def _batch_labels(params, d, rng, keys) -> np.ndarray:
     """component_labels of the trials with these keys as one disjoint union,
     trial b's node i being node b*n + i and each deleted node a singleton.
-    A lone trial (n > 2048) has no rounds to share and is drawn by
-    _draw_classes and draw_deleted; other batches by _batch_draw."""
+    A lone trial (n > 2048) has no rounds to share: it is drawn by
+    draw_trial, binned by class_nodes, and draws its deletion by
+    draw_deleted.  Other batches are drawn by _batch_draw."""
     n, nodes = params.n, len(keys) * params.n
     if len(keys) == 1:
         _rekey(rng, keys[0])
-        u, v = union_arcs(params, *_draw_classes(params, rng))
+        x, blocks = draw_trial(params, rng)
+        u, v = union_arcs(params, class_nodes(params, x), blocks)
         dead = draw_deleted(n, d, rng) if d else None
     else:
         *draw, dead = _batch_draw(params, d, rng, keys)
@@ -720,12 +722,11 @@ def coupling_experiment(target: GraphParams, trials, seed) -> CouplingReport:
         u = np.concatenate([src for src, _ in arcs]) + offset
         v = np.concatenate([dst for _, dst in arcs]) + offset
         cmax.append(_cmax_per_graph(n, n, component_labels(nodes, u, v)))
-        # a base arc must come back n nodes on, in its extension
-        key = np.sort(u * nodes + v)
-        u = key // nodes
+        # a base arc must come back n nodes on, in its extension; a node's
+        # picks are distinct, so no arc repeats and isin skips its dedupe
+        key = u * nodes + v
         base = u // n % 2 == 0
-        want = key[base] + n * (nodes + 1)
-        kept = key[np.minimum(np.searchsorted(key, want), key.size - 1)] == want
+        kept = np.isin(key[base] + n * (nodes + 1), key[~base], assume_unique=True)
         edge_bad += np.unique(u[base][~kept] // (2 * n)).size
     c_base, c_ext = np.concatenate(cmax).reshape(-1, 2).T
     return CouplingReport(

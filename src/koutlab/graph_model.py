@@ -145,17 +145,19 @@ def two_type_params(n, mu, k) -> GraphParams:
 class KoutGraph:
     """A realized graph, kept as its draw.
 
-    node_types and blocks are draw_trial's: blocks[t] holds the raw picks
-    of the class-t nodes, nodes in order, row by row.  arcs lists the
-    class-t nodes from node_types and decodes the picks with union_arcs.
-    deleted holds the nodes a deletion removed (delete_random_nodes);
-    original node ids are kept and nothing is re-indexed.  Instances are
-    immutable; arcs, edges and components are derived on first use and
-    cached.  A node's selection set is its arcs' heads.
+    classes and blocks are draw_trial's: classes[t] lists the class-t
+    nodes in ascending order, as class_nodes bins them, and blocks[t]
+    holds their raw picks, nodes in order, row by row.  arcs decodes the
+    picks of each class's nodes with union_arcs; node_types, each node's
+    class, is read off classes.  deleted holds the nodes a deletion
+    removed (delete_random_nodes); original node ids are kept and nothing
+    is re-indexed.  Instances are immutable; node_types, arcs, edges and
+    components are derived on first use and cached.  A node's selection
+    set is its arcs' heads.
     """
 
     params: GraphParams
-    node_types: np.ndarray
+    classes: tuple
     blocks: tuple
     deleted: frozenset = frozenset()
 
@@ -177,10 +179,18 @@ class KoutGraph:
         return np.flatnonzero(self._alive)
 
     @cached_property
+    def node_types(self) -> np.ndarray:
+        """Each node's class, as int64 (read-only)."""
+        types = np.empty(self.n, dtype=np.int64)
+        for t, nodes in enumerate(self.classes):
+            types[nodes] = t
+        types.flags.writeable = False
+        return types
+
+    @cached_property
     def arcs(self) -> tuple[np.ndarray, np.ndarray]:
         """Every pick as an arc (node, picked node), class by class (union_arcs)."""
-        nodes = [np.flatnonzero(self.node_types == t) for t in range(self.params.r)]
-        return union_arcs(self.params, nodes, self.blocks)
+        return union_arcs(self.params, self.classes, self.blocks)
 
     @cached_property
     def sel_flat(self) -> np.ndarray:
@@ -295,34 +305,21 @@ def _class_counts(params: GraphParams, x) -> list[int]:
     return counts + [rest]
 
 
-def _first_draw(params: GraphParams, rng, counts):
-    """draw_trial's first integers call, made right after the type uniforms
-    that gave the class sizes counts; returns (head, rows).  The call
-    draws the rows of class f, the first class with k >= 2 picks, in one
-    flat array; f is params._first_rows, 1 when class 0 makes single
-    picks, and then class 0's picks (head) come first in the same call."""
-    n, f = params.n, params._first_rows
-    lead = counts[0] if f else 0
-    size = lead + counts[f] * params.type_selections[f]
-    picks = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
-    return picks[:lead], picks[lead:]
-
-
 def draw_trial(params: GraphParams, rng):
     """One graph's randomness, drawn from rng in the order every sampler uses.
 
     Returns (x, blocks).  x = rng.random(n) are the uniforms of the type
-    draw (see class_nodes).  blocks[t] holds the k_t picks of each
-    class-t node, nodes in order, row by row; a pick is raw, in [0, n-1),
-    and node i's pick p is node p + (p >= i).  Each class with
-    k >= 2 picks is drawn and then redrawn until its rows are distinct
-    before the next class is drawn.  Selection counts increase, so only
-    class 0 can make single picks; they never repeat, so they are drawn
-    by the same integers call as class 1's (_first_draw), which draws the
-    same numbers as two calls because calls with one bound consume the
-    stream in turn.  A class whose whole rows are rarely distinct
-    (GraphParams._fills_columns) redraws single picks instead
-    (_distinct_columns).
+    draw; class_nodes bins them into each class's nodes.  blocks[t] holds
+    the k_t picks of each class-t node, nodes in order, row by row; a
+    pick is raw, in [0, n-1), and node i's pick p is node p + (p >= i).
+    Each class with k >= 2 picks is drawn and then redrawn until its rows
+    are distinct before the next class is drawn.  Selection counts
+    increase, so only class 0 can make single picks; they never repeat,
+    so they open the integers call of class 1 (GraphParams._first_rows),
+    which draws the same numbers as two calls because calls with one
+    bound consume the stream in turn.  A class whose whole rows are
+    rarely distinct (GraphParams._fills_columns) redraws single picks
+    instead (_distinct_columns).
 
     The same fact lets the sweep engine (experiments._first_rounds) draw
     the redraws of a (1, K) trial whose heavy rows are redrawn whole in
@@ -332,34 +329,24 @@ def draw_trial(params: GraphParams, rng):
     when no node is deleted (experiments._slice_rounds): its picks equal
     these.  Both mark repeating rows with _rows_with_repeats.  This
     function is the engine's reference, and draws every other batch
-    (deletions, other ensembles) and each trial whose spare runs out.  _draw_classes draws the same and returns the
-    class nodes in place of x, for construct_r_type and lone trials.
+    (deletions, other ensembles), each trial whose spare runs out, each
+    lone trial and each construct_r_type graph.
     """
-    x = rng.random(params.n)
-    return x, _picks(params, rng, _class_counts(params, x))
-
-
-def _draw_classes(params: GraphParams, rng):
-    """draw_trial's draw as (class_nodes of its uniforms, blocks), nodes found once."""
-    nodes = class_nodes(params, rng.random(params.n))
-    return nodes, _picks(params, rng, [c.size for c in nodes])
-
-
-def _picks(params: GraphParams, rng, counts):
-    """draw_trial's blocks, drawn right after uniforms with these class counts."""
     n, ks, f = params.n, params.type_selections, params._first_rows
-    head, raw = _first_draw(params, rng, counts)
-    blocks = [head] if f else []
+    x = rng.random(n)
+    counts = _class_counts(params, x)
+    blocks = []
     for t in range(f, params.r):
-        if t > f:
-            size = counts[t] * ks[t]
-            raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
-        if params._fills_columns[t]:
-            _distinct_columns(rng, raw.reshape(-1, ks[t]), n)
-        else:
-            _redraw_repeats(rng, raw.reshape(-1, ks[t]), n)
-        blocks.append(raw)
-    return blocks
+        lead = counts[0] if t == f == 1 else 0  # class 0's single picks open class 1's call
+        size = lead + counts[t] * ks[t]
+        raw = rng.integers(0, n - 1, size=size) if size else np.empty(0, dtype=np.int64)
+        if t == f == 1:
+            blocks.append(raw[:lead])
+        rows = raw[lead:]
+        fill = _distinct_columns if params._fills_columns[t] else _redraw_repeats
+        fill(rng, rows.reshape(-1, ks[t]), n)
+        blocks.append(rows)
+    return x, blocks
 
 
 def draw_deleted(n, d, rng) -> np.ndarray:
@@ -399,11 +386,8 @@ def union_arcs(params: GraphParams, nodes, blocks, counts=None) -> tuple[np.ndar
 
 def construct_r_type(params: GraphParams, rng) -> KoutGraph:
     """Draw one graph from the r-class ensemble with the Generator rng."""
-    classes, blocks = _draw_classes(params, _generator(rng))
-    types = np.empty(params.n, dtype=np.int64)
-    for t, nodes in enumerate(classes):
-        types[nodes] = t
-    return KoutGraph(params, types, tuple(blocks))
+    x, blocks = draw_trial(params, _generator(rng))
+    return KoutGraph(params, tuple(class_nodes(params, x)), tuple(blocks))
 
 
 def delete_random_nodes(g: KoutGraph, d, rng):
@@ -444,16 +428,15 @@ def couple_extend(g2: KoutGraph, target: GraphParams, rng) -> KoutGraph:
         return g2
     n, r = target.n, target.r
 
-    light = np.flatnonzero(g2.node_types == 0)
+    light = g2.classes[0]
     cum = np.cumsum(target.type_probs[:-1]) / mu_tilde
     drawn = np.minimum(np.searchsorted(cum, rng.random(light.size), side="right"), r - 2)
-    types = np.full(n, r - 1, dtype=np.int64)
-    types[light] = drawn
-    blocks = []
+    classes, blocks = [], []
     for t, k in enumerate(target.type_selections[:-1]):
-        kept = g2.blocks[0][drawn == t]  # each class-t node's raw pick from g2
+        mine = drawn == t
+        kept = g2.blocks[0][mine]  # each class-t node's raw pick from g2
         rows = np.column_stack([kept, rng.integers(0, n - 1, size=(kept.size, k - 1))])
         _distinct_columns(rng, rows, n)
+        classes.append(light[mine])
         blocks.append(rows.ravel())
-    blocks.append(g2.blocks[1])
-    return KoutGraph(target, types, tuple(blocks))
+    return KoutGraph(target, (*classes, g2.classes[1]), (*blocks, g2.blocks[1]))

@@ -208,6 +208,30 @@ def test_construction_draws_the_class_by_class_stream(params):
         assert rng.integers(0, 1 << 30) == ref.integers(0, 1 << 30)
 
 
+def test_graph_keeps_its_classes_as_ascending_node_lists():
+    three = GraphParams(n=50, type_probs=(0.5, 0.3, 0.2), type_selections=(1, 2, 4))
+    rng = np.random.default_rng(21)
+    g2 = construct_r_type(two_type_params(50, 0.8, 4), rng)
+    graphs = [
+        construct_r_type(two_type_params(30, 0.5, 2), rng),
+        construct_r_type(GraphParams(20, (0.4, 0.3, 0.3), (2, 3, 19)), rng),  # column-filled
+        construct_r_type(three, rng),
+        delete_random_nodes(construct_r_type(three, rng), 7, rng)[1],
+        couple_extend(g2, three, rng),
+    ]
+    for g in graphs:
+        r = g.params.r
+        assert len(g.classes) == r
+        assert all(np.all(np.diff(nodes) > 0) for nodes in g.classes)
+        assert np.array_equal(np.sort(np.concatenate(g.classes)), np.arange(g.n))
+        assert g.node_types.dtype == np.int64
+        assert all(np.all(g.node_types[nodes] == t) for t, nodes in enumerate(g.classes))
+        # the arcs the node types would give, class lists read off them
+        nodes = [np.flatnonzero(g.node_types == t) for t in range(r)]
+        for got, want in zip(g.arcs, union_arcs(g.params, nodes, g.blocks), strict=True):
+            assert np.array_equal(got, want)
+
+
 def test_selection_probability_matches_mean_over_ordered_pairs():
     # P[j in selections of i] = <K>/(n-1); >= 1e6 ordered pairs
     params = two_type_params(100, 0.9, 2)
